@@ -66,8 +66,8 @@ int main(int argc, char** argv) {
   const std::string default_golden =
       std::string(UBE_TEST_DATA_DIR) + "/golden_small_universe.json";
   bench.flags().AddString("--solver",
-                          "solver to trace (see SolverKindName; includes "
-                          "portfolio)",
+                          "solver to trace: tabu, sls, annealing, pso, "
+                          "greedy, random or exhaustive",
                           &solver_name);
   bench.flags().AddOptionalString("--golden",
                                   "use the pinned golden universe "

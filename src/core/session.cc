@@ -176,6 +176,14 @@ Status Session::AddGaConstraint(GlobalAttribute ga) {
           "GA references a nonexistent attribute");
     }
   }
+  // The mirror of BanSource's check: a constraint over a banned source
+  // would make the spec infeasible at the next Iterate.
+  for (SourceId source : spec_.banned_sources) {
+    if (ga.TouchesSource(source)) {
+      return Status::FailedPrecondition(
+          "GA references a banned source; unban it first");
+    }
+  }
   // Absorb existing constraints fully contained in the new GA; reject
   // partial overlaps (they would make the constraint set inconsistent).
   std::vector<GlobalAttribute> kept;
@@ -220,14 +228,16 @@ Status Session::SetWeight(std::string_view qef_name, double weight) {
     return Status::NotFound("no QEF named '" + std::string(qef_name) + "'");
   }
   // Copy-on-first-write: the overlay starts as the shared model's weights
-  // and diverges from there. The engine's model is never mutated.
-  if (spec_.weight_overlay.empty()) {
-    spec_.weight_overlay = model.weights();
-  }
-  Status status =
-      QualityModel::RescaleWeight(&spec_.weight_overlay, index, weight);
-  if (status.ok()) ++stats_.feedback_gestures;
-  return status;
+  // and diverges from there. The engine's model is never mutated. The
+  // rescale runs on a copy, so a rejected weight leaves the overlay as it
+  // was (still empty when this was the first write).
+  std::vector<double> overlay = spec_.weight_overlay.empty()
+                                    ? model.weights()
+                                    : spec_.weight_overlay;
+  UBE_RETURN_IF_ERROR(QualityModel::RescaleWeight(&overlay, index, weight));
+  spec_.weight_overlay = std::move(overlay);
+  ++stats_.feedback_gestures;
+  return Status::Ok();
 }
 
 const std::vector<double>& Session::effective_weights() const {

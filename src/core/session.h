@@ -118,7 +118,8 @@ class Session {
   /// unrelated constraint is an error.
   Status PromoteGa(int ga_index);
   /// Adds an explicit GA constraint (validated against the universe and
-  /// existing constraints).
+  /// existing constraints). A GA touching a banned source is a
+  /// FailedPrecondition, the mirror of BanSource's check.
   Status AddGaConstraint(GlobalAttribute ga);
   /// Convenience: builds a GA from (source name, attribute name) pairs and
   /// adds it.
@@ -129,7 +130,9 @@ class Session {
   /// keep summing to 1. Edits this session's weight overlay
   /// (ProblemSpec::weight_overlay, initialized from the engine's model on
   /// first use) — the engine's shared QualityModel is never touched, so
-  /// concurrent sessions each solve under their own weights.
+  /// concurrent sessions each solve under their own weights. A weight
+  /// outside [0, 1] (NaN included) is an InvalidArgument and leaves the
+  /// overlay untouched.
   Status SetWeight(std::string_view qef_name, double weight);
 
   /// This session's effective weights: the overlay when SetWeight has been

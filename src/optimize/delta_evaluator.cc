@@ -1,10 +1,7 @@
 #include "optimize/delta_evaluator.h"
 
-#include <chrono>
 #include <cstddef>
-#include <unordered_map>
 
-#include "obs/obs.h"
 #include "sketch/distinct_estimator.h"
 #include "sketch/pcsa.h"
 #include "util/check.h"
@@ -223,10 +220,7 @@ QualityBreakdown DeltaEvaluator::Score(const EvalContext& ctx) const {
 QualityBreakdown DeltaEvaluator::Compute(
     const std::vector<SourceId>& candidate) {
   UBE_CHECK(active_, "DeltaEvaluator::Compute requires an active delta path");
-  evaluator_->evaluations_.fetch_add(1, std::memory_order_relaxed);
-  if (evaluator_->obs_.ctx != nullptr) {
-    evaluator_->obs_.ctx->metrics().Add(evaluator_->obs_.computed);
-  }
+  evaluator_->CountComputed();
   EvalContext ctx;
   FillScalars(candidate, &ctx);
   ctx.union_estimate = UnionFromScratch(candidate);
@@ -235,10 +229,7 @@ QualityBreakdown DeltaEvaluator::Compute(
 
 double DeltaEvaluator::ComputeForMove(const SearchState::Move& move,
                                       const std::vector<SourceId>& candidate) {
-  evaluator_->evaluations_.fetch_add(1, std::memory_order_relaxed);
-  if (evaluator_->obs_.ctx != nullptr) {
-    evaluator_->obs_.ctx->metrics().Add(evaluator_->obs_.computed);
-  }
+  evaluator_->CountComputed();
   EvalContext ctx;
   FillScalars(candidate, &ctx);
   ctx.union_estimate =
@@ -248,18 +239,8 @@ double DeltaEvaluator::ComputeForMove(const SearchState::Move& move,
 
 double DeltaEvaluator::Quality(const std::vector<SourceId>& candidate) {
   if (!active_) return evaluator_->Quality(candidate);
-  const uint64_t key = evaluator_->CacheKey(candidate);
-  double quality = 0.0;
-  if (evaluator_->CacheLookup(key, candidate, &quality)) {
-    evaluator_->cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    if (evaluator_->obs_.ctx != nullptr) {
-      evaluator_->obs_.ctx->metrics().Add(evaluator_->obs_.cache_hit);
-    }
-    return quality;
-  }
-  quality = Compute(candidate).overall;
-  evaluator_->CacheInsert(key, candidate, quality);
-  return quality;
+  return evaluator_->Memoized(candidate,
+                              [&] { return Compute(candidate).overall; });
 }
 
 std::vector<double> DeltaEvaluator::ScoreCandidates(
@@ -281,79 +262,13 @@ std::vector<double> DeltaEvaluator::ScoreNeighborhood(
 std::vector<double> DeltaEvaluator::Batch(
     std::span<const std::vector<SourceId>> candidates,
     const SearchState::Move* moves) {
-  // Mirrors CandidateEvaluator::QualityBatch phase for phase so cache state,
-  // counters and eval.* metrics come out identical for the same candidate
-  // stream; only the per-miss compute differs (delta, sequential — each
-  // miss is O(sketch words + |S|), so there is nothing worth parallelizing
-  // and thread-count invariance is structural).
-  const CandidateEvaluator& ev = *evaluator_;
-  const size_t n = candidates.size();
-  std::vector<double> out(n, 0.0);
-  if (n == 0) return out;
-
-  obs::Tracer::Span span = obs::SpanIf(ev.obs_.ctx, "eval/batch");
-  std::chrono::steady_clock::time_point batch_start;
-  if (ev.obs_.ctx != nullptr) {
-    ev.obs_.ctx->metrics().Observe(ev.obs_.batch_size,
-                                   static_cast<int64_t>(n));
-    batch_start = std::chrono::steady_clock::now();
-  }
-
-  constexpr ptrdiff_t kResolved = -1;
-  std::vector<ptrdiff_t> miss_of(n, kResolved);
-  std::vector<size_t> misses;
-  std::vector<uint64_t> miss_keys;
-  std::unordered_map<uint64_t, std::vector<size_t>> pending;
-  int64_t hits = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const std::vector<SourceId>& candidate = candidates[i];
-    uint64_t key = ev.CacheKey(candidate);
-    if (ev.CacheLookup(key, candidate, &out[i])) {
-      ++hits;
-      continue;
-    }
-    std::vector<size_t>& bucket = pending[key];
-    bool duplicate = false;
-    for (size_t pos : bucket) {
-      if (candidates[misses[pos]] == candidate) {
-        miss_of[i] = static_cast<ptrdiff_t>(pos);
-        ++hits;
-        duplicate = true;
-        break;
-      }
-    }
-    if (duplicate) continue;
-    miss_of[i] = static_cast<ptrdiff_t>(misses.size());
-    bucket.push_back(misses.size());
-    misses.push_back(i);
-    miss_keys.push_back(key);
-  }
-
-  std::vector<double> computed(misses.size(), 0.0);
-  for (size_t j = 0; j < misses.size(); ++j) {
-    const size_t i = misses[j];
-    computed[j] = moves != nullptr ? ComputeForMove(moves[i], candidates[i])
-                                   : Compute(candidates[i]).overall;
-  }
-
-  for (size_t j = 0; j < misses.size(); ++j) {
-    ev.CacheInsert(miss_keys[j], candidates[misses[j]], computed[j]);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (miss_of[i] != kResolved) {
-      out[i] = computed[static_cast<size_t>(miss_of[i])];
-    }
-  }
-  ev.cache_hits_.fetch_add(hits, std::memory_order_relaxed);
-  if (ev.obs_.ctx != nullptr) {
-    if (hits > 0) ev.obs_.ctx->metrics().Add(ev.obs_.cache_hit, hits);
-    auto elapsed = std::chrono::steady_clock::now() - batch_start;
-    ev.obs_.ctx->metrics().Observe(
-        ev.obs_.batch_latency_us,
-        std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
-            .count());
-  }
-  return out;
+  // Same memoization as the full path; only the per-miss compute differs
+  // (delta, sequential — each miss is O(sketch words + |S|), so there is
+  // nothing worth parallelizing and thread-count invariance is structural).
+  return evaluator_->MemoizedBatch(candidates, nullptr, [&](size_t i) {
+    return moves != nullptr ? ComputeForMove(moves[i], candidates[i])
+                            : Compute(candidates[i]).overall;
+  });
 }
 
 }  // namespace ube

@@ -48,10 +48,10 @@ namespace ube {
 /// to the wrapped CandidateEvaluator and behavior is unchanged, including
 /// the parallel batch path.
 ///
-/// Cache and counter parity: the delta path probes and populates the SAME
-/// sharded quality cache as the full path (cross-restart reuse keeps
-/// working) and bumps num_evaluations / num_cache_hits / the eval.* metrics
-/// with identical semantics, so eval budgets (SolverOptions::
+/// Cache and counter parity: the delta path memoizes through the SAME
+/// CandidateEvaluator routines and quality cache as the full path
+/// (cross-restart reuse keeps working), so num_evaluations /
+/// num_cache_hits / the eval.* metrics keep identical semantics, so eval budgets (SolverOptions::
 /// max_evaluations) stop at exactly the same point with delta on or off.
 ///
 /// Not thread safe: one instance per Solve call, used from the solver's
@@ -114,7 +114,7 @@ class DeltaEvaluator {
     const std::vector<uint32_t>* pcsa_words = nullptr;
   };
 
-  /// Shared three-phase (probe / compute / publish) batch loop; `moves`
+  /// CandidateEvaluator::MemoizedBatch with the delta compute; `moves`
   /// (parallel to `candidates`) selects the incremental union path, null
   /// computes unions from scratch.
   std::vector<double> Batch(std::span<const std::vector<SourceId>> candidates,

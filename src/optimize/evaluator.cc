@@ -91,15 +91,10 @@ uint64_t ComputeSpecFingerprint(const Universe& universe,
 SharedQualityCache::SharedQualityCache(size_t max_entries_per_shard)
     : max_entries_per_shard_(max_entries_per_shard) {}
 
-uint64_t SharedQualityCache::SlotKey(uint64_t fingerprint,
-                                     uint64_t key) const {
-  return mix_fingerprint_ ? SplitMix64(fingerprint ^ key) : key;
-}
-
 bool SharedQualityCache::Lookup(uint64_t fingerprint, uint64_t key,
                                 const std::vector<SourceId>& candidate,
-                                double* quality) const {
-  const uint64_t slot = SlotKey(fingerprint, key);
+                                double* quality, bool* rejected) const {
+  const uint64_t slot = SplitMix64(fingerprint ^ key);
   Shard& shard = ShardFor(slot);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(slot);
@@ -112,6 +107,7 @@ bool SharedQualityCache::Lookup(uint64_t fingerprint, uint64_t key,
   if (it->second.fingerprint != fingerprint ||
       it->second.candidate != candidate) {
     rejects_.fetch_add(1, std::memory_order_relaxed);
+    if (rejected != nullptr) *rejected = true;
     return false;
   }
   *quality = it->second.quality;
@@ -119,18 +115,20 @@ bool SharedQualityCache::Lookup(uint64_t fingerprint, uint64_t key,
   return true;
 }
 
-void SharedQualityCache::Insert(uint64_t fingerprint, uint64_t key,
+bool SharedQualityCache::Insert(uint64_t fingerprint, uint64_t key,
                                 const std::vector<SourceId>& candidate,
                                 double quality) {
-  const uint64_t slot = SlotKey(fingerprint, key);
+  const uint64_t slot = SplitMix64(fingerprint ^ key);
   Shard& shard = ShardFor(slot);
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.map.size() >= max_entries_per_shard_) {
+  const bool evict = shard.map.size() >= max_entries_per_shard_;
+  if (evict) {
     shard.map.clear();
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
   shard.map[slot] = Entry{fingerprint, candidate, quality};
   insertions_.fetch_add(1, std::memory_order_relaxed);
+  return evict;
 }
 
 void SharedQualityCache::Clear() {
@@ -277,8 +275,7 @@ CandidateEvaluator::Evaluation CandidateEvaluator::Evaluate(
   }
 #endif
 
-  evaluations_.fetch_add(1, std::memory_order_relaxed);
-  if (obs_.ctx != nullptr) obs_.ctx->metrics().Add(obs_.computed);
+  CountComputed();
   Evaluation out;
   if (model_.NeedsMatching()) {
     MatchOptions options;
@@ -303,61 +300,64 @@ uint64_t CandidateEvaluator::CacheKey(
   return SplitMix64(spec_fingerprint_ ^ hash_fn_(candidate));
 }
 
+void CandidateEvaluator::CountComputed() const {
+  evaluations_.fetch_add(1, std::memory_order_relaxed);
+  if (obs_.ctx != nullptr) obs_.ctx->metrics().Add(obs_.computed);
+}
+
 bool CandidateEvaluator::CacheLookup(uint64_t key,
                                      const std::vector<SourceId>& candidate,
                                      double* quality) const {
-  if (shared_cache_ != nullptr) {
-    return shared_cache_->Lookup(spec_fingerprint_, key, candidate, quality);
+  bool rejected = false;
+  if (cache().Lookup(spec_fingerprint_, key, candidate, quality, &rejected)) {
+    return true;
   }
-  CacheShard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
-  if (it == shard.map.end()) return false;
-  // Verify the stored candidate: a 64-bit collision must recompute, never
-  // hand back another candidate's quality.
-  if (it->second.candidate != candidate) {
-    if (obs_.ctx != nullptr) {
-      obs_.ctx->metrics().Add(obs_.collision_recompute);
-    }
-    return false;
+  if (rejected && obs_.ctx != nullptr) {
+    obs_.ctx->metrics().Add(obs_.collision_recompute);
   }
-  *quality = it->second.quality;
-  return true;
+  return false;
 }
 
 void CandidateEvaluator::CacheInsert(uint64_t key,
                                      const std::vector<SourceId>& candidate,
                                      double quality) const {
-  if (shared_cache_ != nullptr) {
-    shared_cache_->Insert(spec_fingerprint_, key, candidate, quality);
-    return;
+  if (cache().Insert(spec_fingerprint_, key, candidate, quality) &&
+      obs_.ctx != nullptr) {
+    obs_.ctx->metrics().Add(obs_.shard_eviction);
   }
-  CacheShard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.map.size() >= max_entries_per_shard_) {
-    shard.map.clear();
-    if (obs_.ctx != nullptr) obs_.ctx->metrics().Add(obs_.shard_eviction);
-  }
-  shard.map[key] = CacheEntry{candidate, quality};
 }
 
 double CandidateEvaluator::Quality(
     const std::vector<SourceId>& candidate) const {
-  uint64_t key = CacheKey(candidate);
+  return Memoized(candidate, [&] { return Evaluate(candidate).quality; });
+}
+
+std::vector<double> CandidateEvaluator::QualityBatch(
+    std::span<const std::vector<SourceId>> candidates,
+    ThreadPool* pool) const {
+  return MemoizedBatch(candidates, pool, [&](size_t i) {
+    return Evaluate(candidates[i]).quality;
+  });
+}
+
+double CandidateEvaluator::Memoized(
+    const std::vector<SourceId>& candidate,
+    const std::function<double()>& compute) const {
+  const uint64_t key = CacheKey(candidate);
   double quality = 0.0;
   if (CacheLookup(key, candidate, &quality)) {
     cache_hits_.fetch_add(1, std::memory_order_relaxed);
     if (obs_.ctx != nullptr) obs_.ctx->metrics().Add(obs_.cache_hit);
     return quality;
   }
-  quality = Evaluate(candidate).quality;
+  quality = compute();
   CacheInsert(key, candidate, quality);
   return quality;
 }
 
-std::vector<double> CandidateEvaluator::QualityBatch(
-    std::span<const std::vector<SourceId>> candidates,
-    ThreadPool* pool) const {
+std::vector<double> CandidateEvaluator::MemoizedBatch(
+    std::span<const std::vector<SourceId>> candidates, ThreadPool* pool,
+    const std::function<double(size_t)>& compute) const {
   const size_t n = candidates.size();
   std::vector<double> out(n, 0.0);
   if (n == 0) return out;
@@ -404,15 +404,14 @@ std::vector<double> CandidateEvaluator::QualityBatch(
   }
 
   // Phase 2: compute the unique misses — each a pure function of its
-  // candidate, so index order (and thread count) cannot change any value.
+  // index, so index order (and thread count) cannot change any value.
   std::vector<double> computed(misses.size(), 0.0);
   if (pool != nullptr && misses.size() > 1) {
-    pool->ParallelFor(misses.size(), [&](size_t j) {
-      computed[j] = Evaluate(candidates[misses[j]]).quality;
-    });
+    pool->ParallelFor(misses.size(),
+                      [&](size_t j) { computed[j] = compute(misses[j]); });
   } else {
     for (size_t j = 0; j < misses.size(); ++j) {
-      computed[j] = Evaluate(candidates[misses[j]]).quality;
+      computed[j] = compute(misses[j]);
     }
   }
 
@@ -462,12 +461,7 @@ void CandidateEvaluator::ResetCounters() const {
   cache_hits_.store(0, std::memory_order_relaxed);
 }
 
-void CandidateEvaluator::ClearCache() const {
-  for (CacheShard& shard : cache_shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.clear();
-  }
-}
+void CandidateEvaluator::ClearCache() const { own_cache_.Clear(); }
 
 uint64_t CandidateEvaluator::HashCandidate(
     const std::vector<SourceId>& candidate) {

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <span>
 #include <unordered_map>
@@ -24,30 +25,36 @@ class ObsContext;
 
 class DeltaEvaluator;
 
-/// A quality cache shared across evaluators — the cross-session warm cache
-/// of the multi-tenant SessionServer. Entries are keyed by (spec
-/// fingerprint, candidate): the fingerprint digests everything a quality
-/// value depends on (θ/β, constraints, effective weights, degradation
-/// policy, model shape, universe version), so two sessions with equal specs
-/// share hits while a session with different weights can never be served
-/// another's values. Every hit re-verifies both the stored fingerprint and
-/// the stored candidate, so a 64-bit key collision recomputes instead of
-/// poisoning a tenant.
+/// The memo table behind every CandidateEvaluator: a bounded quality cache
+/// keyed by (spec fingerprint, candidate). Each evaluator owns a private
+/// one; the multi-tenant SessionServer attaches one shared instance to all
+/// its sessions' evaluators, which makes it the cross-session warm cache.
+/// The fingerprint digests everything a quality value depends on (θ/β,
+/// constraints, effective weights, degradation policy, model shape,
+/// universe version), so two sessions with equal specs share hits while a
+/// session with different weights can never be served another's values.
+/// Entries live in slot SplitMix64(fingerprint ^ key); every hit
+/// re-verifies both the stored fingerprint and the stored candidate, so a
+/// slot collision recomputes instead of poisoning a tenant.
 ///
-/// Thread safety: Lookup/Insert are internally synchronized (sharded,
-/// mutex-striped like the evaluator's own cache) and safe from any number
-/// of concurrent sessions. Clear() is safe too but racing solvers may
-/// re-insert immediately.
+/// Thread safety: Lookup/Insert are internally synchronized (16
+/// mutex-striped shards picked by the slot's top bits) and safe from any
+/// number of concurrent sessions. Clear() is safe too but racing solvers
+/// may re-insert immediately.
 class SharedQualityCache {
  public:
   explicit SharedQualityCache(size_t max_entries_per_shard = 1u << 14);
 
   /// True and fills *quality when `candidate` is cached under
-  /// (fingerprint, key) and the stored entry verifies.
+  /// (fingerprint, key) and the stored entry verifies. A slot holding
+  /// another fingerprint or candidate is a reject: false, and *rejected
+  /// (when given) is set.
   bool Lookup(uint64_t fingerprint, uint64_t key,
-              const std::vector<SourceId>& candidate, double* quality) const;
+              const std::vector<SourceId>& candidate, double* quality,
+              bool* rejected = nullptr) const;
   /// Inserts (bounded: a full shard is cleared first; last writer wins).
-  void Insert(uint64_t fingerprint, uint64_t key,
+  /// Returns true when the insert evicted a full shard.
+  bool Insert(uint64_t fingerprint, uint64_t key,
               const std::vector<SourceId>& candidate, double quality);
   void Clear();
 
@@ -65,11 +72,6 @@ class SharedQualityCache {
   Stats stats() const;
   size_t size() const;
 
-  /// Test hook: slot entries by candidate key only, ignoring the
-  /// fingerprint, so two specs' entries collide on one slot and the
-  /// verify-on-hit rejection path is exercised deterministically.
-  void SetIdentityMixForTesting() { mix_fingerprint_ = false; }
-
  private:
   struct Entry {
     uint64_t fingerprint = 0;
@@ -81,7 +83,6 @@ class SharedQualityCache {
     std::unordered_map<uint64_t, Entry> map;
   };
 
-  uint64_t SlotKey(uint64_t fingerprint, uint64_t key) const;
   Shard& ShardFor(uint64_t slot) const {
     return shards_[slot >> (64 - kShardBits)];
   }
@@ -90,7 +91,6 @@ class SharedQualityCache {
   static constexpr size_t kNumShards = 1u << kShardBits;
   mutable Shard shards_[kNumShards];
   size_t max_entries_per_shard_;
-  bool mix_fingerprint_ = true;
   mutable std::atomic<int64_t> hits_{0};
   mutable std::atomic<int64_t> misses_{0};
   mutable std::atomic<int64_t> insertions_{0};
@@ -103,11 +103,9 @@ class SharedQualityCache {
 /// returns Q(S). Infeasible candidates (Match invalid on C) score 0.
 ///
 /// Because tabu search revisits neighbourhoods, Quality() memoizes Q(S) in
-/// a sharded, mutex-striped cache: candidates hash to one of
-/// kNumCacheShards shards (by hash prefix), each shard holding its own
-/// mutex and bounded map, so concurrent lookups/inserts only contend when
-/// they land on the same shard. Entries store the full candidate next to
-/// the value and verify it on every hit — a 64-bit hash collision therefore
+/// a SharedQualityCache: the evaluator's own by default, or one attached
+/// with AttachSharedCache. Entries store the full candidate next to the
+/// value and verify it on every hit — a 64-bit hash collision therefore
 /// recomputes instead of silently returning the wrong quality. A shard that
 /// reaches its bound evicts only itself (per-shard clear), never the whole
 /// cache. Full Evaluate() (with schema and breakdown) always computes.
@@ -124,7 +122,8 @@ class SharedQualityCache {
 /// the batch runs inline, on one worker, or on many: cache probing and
 /// intra-batch deduplication happen sequentially up front, only the cache
 /// misses (each a pure function of its candidate) are computed in
-/// parallel, and insertion happens sequentially afterwards.
+/// parallel, and insertion happens sequentially afterwards. The delta path
+/// (DeltaEvaluator) memoizes through the same routine.
 class CandidateEvaluator {
  public:
   /// All referees must outlive the evaluator. Call ValidateSpec (and
@@ -209,10 +208,11 @@ class CandidateEvaluator {
   }
   void ResetCounters() const;
 
-  /// Drops every memoized quality. Solvers call this (via BeginRun) so each
-  /// run starts cache-cold and reported evaluation counts/times are
-  /// comparable across solvers instead of crediting later runs with the
-  /// earlier runs' warm cache.
+  /// Drops every quality memoized in the evaluator's own cache (never an
+  /// attached one). Solvers call this (via BeginRun) so each run starts
+  /// cache-cold and reported evaluation counts/times are comparable across
+  /// solvers instead of crediting later runs with the earlier runs' warm
+  /// cache.
   void ClearCache() const;
 
   /// ClearCache() + ResetCounters(): what every Solve() invokes first.
@@ -223,8 +223,8 @@ class CandidateEvaluator {
     ResetCounters();
   }
 
-  /// Routes this evaluator's memoization through `cache` instead of the
-  /// local shards (null detaches). Like AttachObs, not synchronized against
+  /// Routes this evaluator's memoization through `cache` instead of its own
+  /// cache (null detaches). Like AttachObs, not synchronized against
   /// concurrent evaluation — attach before the search starts. Hits/misses
   /// keep counting in this evaluator's counters, so budget stops behave
   /// identically; only which store answers them changes.
@@ -234,8 +234,9 @@ class CandidateEvaluator {
 
   /// Attaches an observability context (null detaches). Records counters
   /// eval.computed / eval.cache_hit / eval.collision_recompute /
-  /// eval.shard_eviction, histograms eval.batch_size /
-  /// eval.batch_latency_us, and an eval/batch span per QualityBatch. Like
+  /// eval.shard_eviction (whichever cache answers), histograms
+  /// eval.batch_size / eval.batch_latency_us, and an eval/batch span per
+  /// QualityBatch. Like
   /// BeginRun, not synchronized against concurrent evaluation — attach
   /// before the search starts. Never changes any returned quality.
   void AttachObs(obs::ObsContext* obs) const;
@@ -246,16 +247,10 @@ class CandidateEvaluator {
   using HashFn = uint64_t (*)(const std::vector<SourceId>&);
   void SetHashFunctionForTesting(HashFn fn) { hash_fn_ = fn; }
 
-  /// Test hook: shrinks the per-shard cache bound so eviction is reachable
-  /// without inserting ~2^14 entries.
-  void SetShardCapacityForTesting(size_t max_entries_per_shard) {
-    max_entries_per_shard_ = max_entries_per_shard;
-  }
-
  private:
-  /// The delta path (optimize/delta_evaluator.h) shares this evaluator's
-  /// quality cache, counters and obs hooks so budgets and metrics stay
-  /// identical with delta scoring on or off.
+  /// The delta path (optimize/delta_evaluator.h) memoizes through
+  /// Memoized/MemoizedBatch and counts through CountComputed, so budgets
+  /// and metrics stay identical with delta scoring on or off.
   friend class DeltaEvaluator;
 
   static uint64_t HashCandidate(const std::vector<SourceId>& candidate);
@@ -265,27 +260,35 @@ class CandidateEvaluator {
   /// candidate sets are identical (the cross-spec poisoning fix).
   uint64_t CacheKey(const std::vector<SourceId>& candidate) const;
 
-  struct CacheEntry {
-    std::vector<SourceId> candidate;  // verified on hit (collision safety)
-    double quality = 0.0;
-  };
-  struct CacheShard {
-    mutable std::mutex mu;
-    std::unordered_map<uint64_t, CacheEntry> map;
-  };
-
-  CacheShard& ShardFor(uint64_t key) const {
-    // Key by hash prefix: the low bits index the shard's map buckets.
-    return cache_shards_[key >> (64 - kShardBits)];
+  /// The cache every lookup and insert goes to: the attached one, else the
+  /// evaluator's own.
+  SharedQualityCache& cache() const {
+    return shared_cache_ != nullptr ? *shared_cache_ : own_cache_;
   }
-  /// Returns true and fills *quality when `candidate` is cached under
-  /// `key`; does not touch counters.
+  /// cache().Lookup plus the eval.collision_recompute metric on a reject;
+  /// does not touch the hit counters.
   bool CacheLookup(uint64_t key, const std::vector<SourceId>& candidate,
                    double* quality) const;
-  /// Inserts (bounded: a full shard is cleared first). A colliding entry
-  /// for a different candidate is overwritten (last writer wins).
+  /// cache().Insert plus the eval.shard_eviction metric on an eviction.
   void CacheInsert(uint64_t key, const std::vector<SourceId>& candidate,
                    double quality) const;
+
+  /// Counts one computed evaluation (num_evaluations and eval.computed).
+  void CountComputed() const;
+
+  /// The memoization of Quality(): a hit returns the cached value, a miss
+  /// returns compute() and publishes it.
+  double Memoized(const std::vector<SourceId>& candidate,
+                  const std::function<double()>& compute) const;
+
+  /// The memoization of QualityBatch(). Phase 1 (sequential) probes the
+  /// cache and deduplicates the misses; phase 2 computes each unique miss
+  /// as compute(i), i indexing `candidates`, on `pool` when given; phase 3
+  /// (sequential) publishes them. Records the eval/batch span and the
+  /// batch histograms.
+  std::vector<double> MemoizedBatch(
+      std::span<const std::vector<SourceId>> candidates, ThreadPool* pool,
+      const std::function<double(size_t)>& compute) const;
 
   const Universe& universe_;
   const ClusterMatcher& matcher_;
@@ -296,14 +299,7 @@ class CandidateEvaluator {
   std::vector<double> effective_weights_;
   uint64_t spec_fingerprint_ = 0;
   mutable SharedQualityCache* shared_cache_ = nullptr;
-
-  static constexpr int kShardBits = 4;
-  static constexpr size_t kNumCacheShards = 1u << kShardBits;
-  static constexpr size_t kMaxCacheEntries = 1 << 18;
-  static constexpr size_t kMaxEntriesPerShard =
-      kMaxCacheEntries / kNumCacheShards;
-  mutable CacheShard cache_shards_[kNumCacheShards];
-  size_t max_entries_per_shard_ = kMaxEntriesPerShard;
+  mutable SharedQualityCache own_cache_;
   HashFn hash_fn_ = &CandidateEvaluator::HashCandidate;
   mutable std::atomic<int64_t> evaluations_{0};
   mutable std::atomic<int64_t> cache_hits_{0};

@@ -1,6 +1,5 @@
 #include "optimize/solver.h"
 
-#include "optimize/portfolio.h"
 #include "optimize/solvers.h"
 #include "util/check.h"
 
@@ -22,8 +21,6 @@ std::unique_ptr<Solver> MakeSolver(SolverKind kind) {
       return std::make_unique<RandomSolver>();
     case SolverKind::kExhaustive:
       return std::make_unique<ExhaustiveSolver>();
-    case SolverKind::kPortfolio:
-      return std::make_unique<PortfolioSolver>();
   }
   UBE_CHECK(false, "unknown SolverKind");
   return nullptr;
@@ -65,8 +62,6 @@ std::string_view SolverKindName(SolverKind kind) {
       return "random";
     case SolverKind::kExhaustive:
       return "exhaustive";
-    case SolverKind::kPortfolio:
-      return "portfolio";
   }
   return "unknown";
 }
@@ -104,12 +99,6 @@ SolverTraits SolverTraitsFor(SolverKind kind) {
       traits.monotonic_trace = true;
       traits.quality_epsilon = 0.0;
       break;
-    case SolverKind::kPortfolio:
-      // Races the rest; on small instances the exhaustive contender
-      // finishes inside its probe share, so the portfolio is exact there —
-      // but not in general.
-      traits.quality_epsilon = 0.02;
-      break;
   }
   return traits;
 }
@@ -118,7 +107,7 @@ const std::vector<SolverKind>& AllSolverKinds() {
   static const std::vector<SolverKind> kinds = {
       SolverKind::kTabu,   SolverKind::kLocalSearch, SolverKind::kAnnealing,
       SolverKind::kPso,    SolverKind::kGreedy,      SolverKind::kRandom,
-      SolverKind::kExhaustive, SolverKind::kPortfolio,
+      SolverKind::kExhaustive,
   };
   return kinds;
 }

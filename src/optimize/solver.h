@@ -35,8 +35,8 @@ struct SolverOptions {
   const Clock* clock = nullptr;
   /// Hard cap on *computed* candidate evaluations (<= 0 disables). Checked
   /// at the same points as time_limit_seconds, so a run can overshoot by
-  /// at most one neighborhood batch. This is the budget the portfolio
-  /// solver divides among its contenders.
+  /// at most one neighborhood batch. Incumbent repair
+  /// (RepairOptions::eval_budget) bounds its local search with it.
   int64_t max_evaluations = 0;
   /// Record a TracePoint in SolverStats::trace every time the incumbent
   /// improves (for convergence analysis; small overhead).
@@ -128,7 +128,6 @@ enum class SolverKind {
   kGreedy,      ///< greedy constructive baseline
   kRandom,      ///< uniform random sampling baseline
   kExhaustive,  ///< exact enumeration (tiny instances / tests only)
-  kPortfolio,   ///< races the other solvers on a shared eval budget
 };
 
 /// Factory for any solver kind.
@@ -168,7 +167,7 @@ struct SolverTraits {
 /// The descriptor for one solver kind.
 SolverTraits SolverTraitsFor(SolverKind kind);
 
-/// Every SolverKind, portfolio last (it composes the rest).
+/// Every SolverKind, in declaration order.
 const std::vector<SolverKind>& AllSolverKinds();
 
 }  // namespace ube

@@ -68,12 +68,16 @@ Status QualityModel::RescaleWeight(std::vector<double>* weights, int index,
   if (index < 0 || index >= static_cast<int>(w.size())) {
     return Status::InvalidArgument("weight index out of range");
   }
-  if (weight < 0.0 || weight > 1.0) {
+  // Negated so NaN (which fails every comparison) is rejected too.
+  if (!(weight >= 0.0 && weight <= 1.0)) {
     return Status::InvalidArgument("weight must be in [0, 1]");
   }
   double others = 0.0;
   for (size_t i = 0; i < w.size(); ++i) {
     if (static_cast<int>(i) != index) others += w[i];
+  }
+  if (!std::isfinite(others)) {
+    return Status::InvalidArgument("weights must be finite");
   }
   double remaining = 1.0 - weight;
   if (others <= 0.0) {
@@ -110,7 +114,7 @@ Status QualityModel::ValidateWeightVector(
   }
   double sum = 0.0;
   for (double w : weights) {
-    if (w < 0.0 || w > 1.0) {
+    if (!(w >= 0.0 && w <= 1.0)) {
       return Status::InvalidArgument("each weight must be in [0, 1]");
     }
     sum += w;

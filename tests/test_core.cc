@@ -1,3 +1,5 @@
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -323,6 +325,72 @@ TEST_F(SessionTest, SetWeightEditsOverlayNotModel) {
   for (double w : session_.spec().weight_overlay) sum += w;
   EXPECT_NEAR(sum, 1.0, 1e-9);
   EXPECT_FALSE(session_.SetWeight("bogus", 0.5).ok());
+}
+
+TEST_F(SessionTest, SetWeightRejectsNonFiniteAndLeavesOverlayUntouched) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // A rejected first write must not leave the copied-on-write overlay
+  // behind.
+  EXPECT_EQ(session_.SetWeight("cardinality", nan).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(session_.spec().weight_overlay.empty());
+  ASSERT_TRUE(session_.SetWeight("cardinality", 0.7).ok());
+  const std::vector<double> overlay = session_.spec().weight_overlay;
+  const int64_t gestures = session_.stats().feedback_gestures;
+  for (double bad : {nan, inf, -inf}) {
+    EXPECT_EQ(session_.SetWeight("coverage", bad).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ(session_.spec().weight_overlay, overlay) << bad;
+  }
+  EXPECT_EQ(session_.stats().feedback_gestures, gestures);
+  Result<Solution> solution = session_.Iterate(SolverKind::kTabu, FastSolve());
+  ASSERT_TRUE(solution.ok()) << solution.status();
+  EXPECT_TRUE(std::isfinite(solution->quality));
+}
+
+TEST(QualityModelWeightsTest, NonFiniteWeightsAreInvalid) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  QualityModel model = QualityModel::MakeDefault();
+  std::vector<double> weights = model.weights();
+  const std::vector<double> before = weights;
+  for (double bad : {nan, inf, -inf}) {
+    EXPECT_EQ(QualityModel::RescaleWeight(&weights, 0, bad).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ(weights, before) << bad;
+    std::vector<double> vector = before;
+    vector[0] = bad;
+    EXPECT_EQ(model.ValidateWeightVector(vector).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ(model.SetWeights(vector).code(), StatusCode::kInvalidArgument)
+        << bad;
+    // A non-finite weight elsewhere in the vector poisons the rescale sum.
+    EXPECT_EQ(QualityModel::RescaleWeight(&vector, 1, 0.5).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+  EXPECT_EQ(model.weights(), before);
+}
+
+TEST_F(SessionTest, GaConstraintOverBannedSourceRejected) {
+  // Iterate -> ban a source -> promote a GA touching it: the promotion is
+  // refused up front instead of failing the next Iterate as infeasible.
+  ASSERT_TRUE(session_.Iterate(SolverKind::kTabu, FastSolve()).ok());
+  ASSERT_GT(session_.last()->mediated_schema.num_gas(), 0);
+  const GlobalAttribute ga = session_.last()->mediated_schema.ga(0);
+  const SourceId victim = ga.attributes().front().source;
+  ASSERT_TRUE(session_.BanSource(victim).ok());
+  const ProblemSpec before = session_.spec();
+  EXPECT_EQ(session_.PromoteGa(0).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(session_.AddGaConstraint(ga).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(session_.spec().ga_constraints.empty());
+  EXPECT_EQ(session_.spec().banned_sources, before.banned_sources);
+  EXPECT_TRUE(session_.Iterate(SolverKind::kTabu, FastSolve(43)).ok());
 }
 
 TEST_F(SessionTest, TwoSessionsSolveUnderTheirOwnWeights) {

@@ -493,48 +493,94 @@ TEST(ObsIdentityTest, TelemetryAndSnapshotReconcileWithStats) {
 
 // ----------------------- evaluator edge counters ------------------------
 
+// The collision and eviction counters fire whichever cache answers: the
+// evaluator's own, or an attached SharedQualityCache.
 TEST(ObsEvaluatorTest, CollisionRecomputeCounter) {
-  KnownOptimumFixture fx;
-  ProblemSpec spec;
-  spec.max_sources = 3;
-  CandidateEvaluator evaluator = fx.MakeEvaluator(spec);
-  evaluator.SetHashFunctionForTesting(
-      [](const std::vector<SourceId>&) -> uint64_t { return 12345; });
-  obs::ObsContext obs;
-  evaluator.AttachObs(&obs);
-  EXPECT_GT(evaluator.Quality({0, 1, 2}), 0.0);
-  EXPECT_GT(evaluator.Quality({7, 8, 9}), 0.0);  // same key, different set
-  evaluator.DetachObs();
-  obs::MetricsSnapshot snap = obs.metrics().Snapshot();
-  const obs::CounterSnapshot* collisions =
-      snap.FindCounter("eval.collision_recompute");
-  ASSERT_NE(collisions, nullptr);
-  EXPECT_EQ(collisions->value, 1);
-  EXPECT_EQ(snap.FindCounter("eval.computed")->value, 2);
+  for (bool attached : {false, true}) {
+    SCOPED_TRACE(attached ? "attached cache" : "own cache");
+    KnownOptimumFixture fx;
+    ProblemSpec spec;
+    spec.max_sources = 3;
+    CandidateEvaluator evaluator = fx.MakeEvaluator(spec);
+    SharedQualityCache shared(1);
+    if (attached) evaluator.AttachSharedCache(&shared);
+    evaluator.SetHashFunctionForTesting(
+        [](const std::vector<SourceId>&) -> uint64_t { return 12345; });
+    obs::ObsContext obs;
+    evaluator.AttachObs(&obs);
+    EXPECT_GT(evaluator.Quality({0, 1, 2}), 0.0);
+    EXPECT_GT(evaluator.Quality({7, 8, 9}), 0.0);  // same key, different set
+    evaluator.DetachObs();
+    obs::MetricsSnapshot snap = obs.metrics().Snapshot();
+    const obs::CounterSnapshot* collisions =
+        snap.FindCounter("eval.collision_recompute");
+    ASSERT_NE(collisions, nullptr);
+    EXPECT_EQ(collisions->value, 1);
+    EXPECT_EQ(snap.FindCounter("eval.computed")->value, 2);
+  }
 }
 
 TEST(ObsEvaluatorTest, ShardEvictionCounter) {
-  KnownOptimumFixture fx;
-  ProblemSpec spec;
-  spec.max_sources = 3;
-  CandidateEvaluator evaluator = fx.MakeEvaluator(spec);
-  // Constant hash pins every candidate to one shard; capacity 1 makes each
-  // insert into the occupied shard clear it first.
-  evaluator.SetHashFunctionForTesting(
-      [](const std::vector<SourceId>&) -> uint64_t { return 12345; });
-  evaluator.SetShardCapacityForTesting(1);
-  obs::ObsContext obs;
-  evaluator.AttachObs(&obs);
-  evaluator.Quality({0, 1, 2});
-  evaluator.Quality({1, 2, 3});
-  evaluator.Quality({2, 3, 4});
-  evaluator.Quality({3, 4, 5});
-  evaluator.DetachObs();
-  obs::MetricsSnapshot snap = obs.metrics().Snapshot();
-  const obs::CounterSnapshot* evictions =
-      snap.FindCounter("eval.shard_eviction");
-  ASSERT_NE(evictions, nullptr);
-  EXPECT_EQ(evictions->value, 3);
+  {
+    SCOPED_TRACE("attached cache");
+    KnownOptimumFixture fx;
+    ProblemSpec spec;
+    spec.max_sources = 3;
+    CandidateEvaluator evaluator = fx.MakeEvaluator(spec);
+    // Constant hash pins every candidate to one shard; capacity 1 makes
+    // each insert into the occupied shard clear it first.
+    SharedQualityCache shared(/*max_entries_per_shard=*/1);
+    evaluator.AttachSharedCache(&shared);
+    evaluator.SetHashFunctionForTesting(
+        [](const std::vector<SourceId>&) -> uint64_t { return 12345; });
+    obs::ObsContext obs;
+    evaluator.AttachObs(&obs);
+    evaluator.Quality({0, 1, 2});
+    evaluator.Quality({1, 2, 3});
+    evaluator.Quality({2, 3, 4});
+    evaluator.Quality({3, 4, 5});
+    evaluator.DetachObs();
+    obs::MetricsSnapshot snap = obs.metrics().Snapshot();
+    const obs::CounterSnapshot* evictions =
+        snap.FindCounter("eval.shard_eviction");
+    ASSERT_NE(evictions, nullptr);
+    EXPECT_EQ(evictions->value, 3);
+    EXPECT_EQ(evictions->value, shared.stats().evictions);
+  }
+  {
+    SCOPED_TRACE("own cache");
+    // The own cache keeps the default bound (2^14 entries in each of 16
+    // shards). A counting hash gives every call a fresh slot, so
+    // 16 * 2^14 + 1 inserts must overflow some shard. One signature-free
+    // source keeps each of those evaluations cheap.
+    Universe universe;
+    DataSource source("s0", SourceSchema({"title"}));
+    source.set_cardinality(100);
+    universe.AddSource(std::move(source));
+    QualityModel model;
+    model.AddQef(std::make_unique<CardinalityQef>(), 1.0);
+    SimilarityGraph graph = SimilarityGraph::WithDefaults(universe, 0.25);
+    ClusterMatcher matcher(universe, graph);
+    ProblemSpec spec;
+    spec.max_sources = 1;
+    CandidateEvaluator evaluator(universe, matcher, model, spec);
+    evaluator.SetHashFunctionForTesting(
+        [](const std::vector<SourceId>&) -> uint64_t {
+          static uint64_t next = 0;
+          return ++next;
+        });
+    obs::ObsContext obs;
+    evaluator.AttachObs(&obs);
+    const std::vector<SourceId> candidate = {0};
+    for (int i = 0; i < 16 * (1 << 14) + 1; ++i) evaluator.Quality(candidate);
+    evaluator.DetachObs();
+    obs::MetricsSnapshot snap = obs.metrics().Snapshot();
+    const obs::CounterSnapshot* evictions =
+        snap.FindCounter("eval.shard_eviction");
+    ASSERT_NE(evictions, nullptr);
+    EXPECT_GE(evictions->value, 1);
+    EXPECT_EQ(snap.FindCounter("eval.computed")->value, 16 * (1 << 14) + 1);
+  }
 }
 
 // ------------------------------- prober --------------------------------

@@ -81,33 +81,43 @@ TEST(SharedQualityCacheTest, HitMissAndVerifyOnHit) {
 }
 
 TEST(SharedQualityCacheTest, CrossSpecCollisionIsRejectedNotServed) {
-  // Identity mix: the slot is the candidate key alone, so two specs'
-  // entries for the same key land on one slot — the exact collision the
-  // fingerprint check must catch. A poisoned cache would return spec A's
-  // quality to spec B; the contract is a reject (recompute) instead.
+  // The slot is SplitMix64(fingerprint ^ key), so spec B's key crafted as
+  // A.fingerprint ^ A.key ^ B.fingerprint lands on spec A's slot — the
+  // exact collision the fingerprint check must catch. A poisoned cache
+  // would return spec A's quality to spec B; the contract is a reject
+  // (recompute) instead.
   SharedQualityCache cache;
-  cache.SetIdentityMixForTesting();
   const std::vector<SourceId> cand = {1, 2, 3};
-  cache.Insert(/*fingerprint=*/7, /*key=*/99, cand, 0.5);
+  const uint64_t fp_a = 7, key_a = 99, fp_b = 8;
+  const uint64_t key_b = fp_a ^ key_a ^ fp_b;
+  cache.Insert(fp_a, key_a, cand, 0.5);
   double quality = -1.0;
-  EXPECT_FALSE(cache.Lookup(/*fingerprint=*/8, 99, cand, &quality));
+  bool rejected = false;
+  EXPECT_FALSE(cache.Lookup(fp_b, key_b, cand, &quality, &rejected));
+  EXPECT_TRUE(rejected);
   EXPECT_EQ(quality, -1.0) << "poisoned value leaked across specs";
   EXPECT_EQ(cache.stats().rejects, 1);
   // Same slot, same fingerprint, different candidate (a 64-bit hash
   // collision): also rejected.
   const std::vector<SourceId> other = {4, 5};
-  EXPECT_FALSE(cache.Lookup(7, 99, other, &quality));
+  EXPECT_FALSE(cache.Lookup(fp_a, key_a, other, &quality));
   EXPECT_EQ(cache.stats().rejects, 2);
+  // A plain miss (empty slot) is not a reject.
+  rejected = false;
+  EXPECT_FALSE(cache.Lookup(fp_b, key_a, cand, &quality, &rejected));
+  EXPECT_FALSE(rejected);
   // The honest owner still hits.
-  EXPECT_TRUE(cache.Lookup(7, 99, cand, &quality));
+  EXPECT_TRUE(cache.Lookup(fp_a, key_a, cand, &quality));
   EXPECT_DOUBLE_EQ(quality, 0.5);
 }
 
 TEST(SharedQualityCacheTest, FullShardIsClearedOnInsert) {
   SharedQualityCache cache(/*max_entries_per_shard=*/4);
   const std::vector<SourceId> cand = {0};
-  for (uint64_t k = 0; k < 256; ++k) cache.Insert(1, k, cand, 0.1);
+  int64_t reported = 0;
+  for (uint64_t k = 0; k < 256; ++k) reported += cache.Insert(1, k, cand, 0.1);
   EXPECT_GT(cache.stats().evictions, 0);
+  EXPECT_EQ(reported, cache.stats().evictions) << "Insert must report each";
   // Bounded: never more than shards x bound entries.
   EXPECT_LE(cache.size(), 16u * 4u);
 }

@@ -1,10 +1,7 @@
-// Unified solver fixture (ISSUE 6): every SolverKind is described by a
-// SolverTraits descriptor (monotonic? randomized? exact? anytime? budget?
-// epsilon?) and this suite checks each implementation against its own
-// descriptor on the pinned golden small universe — plus the portfolio
-// acceptance bar: never worse than the best single solver at an equal
-// evaluation budget.
-#include <algorithm>
+// Unified solver fixture: every SolverKind is described by a SolverTraits
+// descriptor (monotonic? randomized? exact? anytime? budget? epsilon?) and
+// this suite checks each implementation against its own descriptor on the
+// pinned golden small universe.
 #include <memory>
 #include <set>
 #include <string>
@@ -102,8 +99,6 @@ TEST(SolverTraitsTest, CoversEveryKindExactlyOnce) {
     names.insert(std::string(SolverKindName(kind)));
   }
   EXPECT_EQ(names.size(), kinds.size()) << "duplicate solver display name";
-  EXPECT_EQ(kinds.back(), SolverKind::kPortfolio)
-      << "portfolio must come last: it composes the others";
   // Exactly one exact solver (the enumeration anchor of every oracle).
   int exact = 0;
   for (SolverKind kind : kinds) exact += SolverTraitsFor(kind).exact;
@@ -219,10 +214,9 @@ TEST_P(SolverFixtureTest, TimeLimitStopsDeterministicallyUnderManualClock) {
   EXPECT_TRUE(SolutionsBitIdentical(*first, *second));
 }
 
-// Delta-vs-full differential axis: for every solver (portfolio included)
-// and for both the sequential and the hardware-concurrency thread count,
-// the incremental delta path must return a Solution byte-identical to the
-// full path — sources, quality bits, counters and trace. Run on the
+// Delta-vs-full differential axis: for every solver and for both the
+// sequential and the hardware-concurrency thread count, the incremental
+// delta path must return a Solution byte-identical to the full path — sources, quality bits, counters and trace. Run on the
 // matching-free model (where delta is genuinely active) and on the default
 // matching model (where it must silently fall back).
 TEST_P(SolverFixtureTest, DeltaMatchesFullPathBitIdentically) {
@@ -301,55 +295,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<SolverKind>& info) {
       return std::string(SolverKindName(info.param));
     });
-
-// --- portfolio acceptance bar -------------------------------------------
-
-TEST(PortfolioTest, NeverWorseThanBestSingleSolverAtEqualBudget) {
-  const testkit::GoldenSmallUniverse& golden = Golden();
-  Engine engine = MakeGoldenEngine();
-  const int64_t budget = 2'000;
-
-  double best_single = 0.0;
-  for (SolverKind kind : AllSolverKinds()) {
-    if (kind == SolverKind::kPortfolio) continue;
-    SolverOptions options = FixtureOptions();
-    options.max_evaluations = budget;
-    Result<Solution> solution = engine.Solve(golden.spec, kind, options);
-    if (!solution.ok()) continue;  // e.g. a solver refusing the instance
-    best_single = std::max(best_single, solution->quality);
-  }
-  ASSERT_GT(best_single, 0.0);
-
-  SolverOptions options = FixtureOptions();
-  options.max_evaluations = budget;
-  Result<Solution> portfolio =
-      engine.Solve(golden.spec, SolverKind::kPortfolio, options);
-  ASSERT_TRUE(portfolio.ok()) << portfolio.status();
-  EXPECT_TRUE(SolutionIsFeasible(*portfolio, engine.universe(), golden.spec));
-  EXPECT_GE(portfolio->quality, best_single - 1e-9)
-      << "portfolio lost to a single solver on the same budget";
-  // On the golden instance the exhaustive contender completes within its
-  // probe share, so the portfolio must return the recorded optimum.
-  EXPECT_NEAR(portfolio->quality, golden.optimal_quality, 1e-9);
-  EXPECT_EQ(portfolio->stats.stop_reason, StopReason::kExhausted);
-}
-
-TEST(PortfolioTest, ReplaysBitIdenticallyAndAccountsEffort) {
-  const testkit::GoldenSmallUniverse& golden = Golden();
-  Engine engine = MakeGoldenEngine();
-  SolverOptions options = FixtureOptions();
-  options.max_evaluations = 1'000;
-
-  Result<Solution> first =
-      engine.Solve(golden.spec, SolverKind::kPortfolio, options);
-  Result<Solution> second =
-      engine.Solve(golden.spec, SolverKind::kPortfolio, options);
-  ASSERT_TRUE(first.ok()) << first.status();
-  ASSERT_TRUE(second.ok()) << second.status();
-  EXPECT_TRUE(SolutionsBitIdentical(*first, *second));
-  EXPECT_EQ(first->stats.solver_name, "portfolio");
-  EXPECT_GT(first->stats.evaluations, 0);
-}
 
 }  // namespace
 }  // namespace ube
