@@ -156,9 +156,9 @@ void BM_WorkloadGeneration(benchmark::State& state) {
 BENCHMARK(BM_WorkloadGeneration)->Arg(100)->Arg(400)
     ->Unit(benchmark::kMillisecond);
 
-// The delta path only engages on models without a matching QEF (Match(S)
-// is not incrementally maintainable), so the flip sweep scores the four
-// data QEFs — the same model shape the delta oracle tests use.
+// The flip sweep scores the four data QEFs: under a matching model both
+// sides would spend nearly all their time in the same Match(S) call, and
+// the sweep would measure the matcher instead of the incremental context.
 ube::QualityModel DataOnlyModel() {
   ube::QualityModel model;
   model.AddQef(std::make_unique<ube::CardinalityQef>(), 0.4);
@@ -172,15 +172,15 @@ ube::QualityModel DataOnlyModel() {
 
 // Single-flip evaluation throughput: one seeded tabu-style move stream over
 // a paper-scale 1000-source universe, each flip scored as a one-move
-// neighborhood — through DeltaEvaluator's incremental path and (unless
-// --delta restricts the sweep) through the full QualityBatch path. The full
-// path pays O(|universe|) per evaluation (characteristic normalization
-// rescans) while the delta path's per-flip cost is independent of universe
-// size, which is the quantity this sweep tracks. Identical rng streams give
-// identical candidate sequences, cache behavior included, so the ratio is a
-// pure per-flip-cost comparison. Emits flip_delta_per_s and, on the default
-// two-sided run, flip_full_per_s + delta_flip_speedup.
-void RunFlipSweep(ube::bench::BenchHarness& bench, bool delta_only) {
+// neighborhood — through DeltaEvaluator's incremental path (what the
+// solvers run) and through the full CandidateEvaluator::QualityBatch path.
+// The full path pays O(|universe|) per evaluation (characteristic
+// normalization rescans) while the delta path's per-flip cost is
+// independent of universe size, which is the quantity this sweep tracks.
+// Identical rng streams give identical candidate sequences, cache behavior
+// included, so the ratio is a pure per-flip-cost comparison. Emits
+// flip_delta_per_s, flip_full_per_s and delta_flip_speedup.
+void RunFlipSweep(ube::bench::BenchHarness& bench) {
   ube::WorkloadConfig config;
   config.num_sources = 1000;
   config.scale = 0.01;
@@ -194,8 +194,8 @@ void RunFlipSweep(ube::bench::BenchHarness& bench, bool delta_only) {
   ube::CandidateEvaluator evaluator(workload.universe, matcher, model, spec);
 
   constexpr int kFlips = 4000;
-  auto sweep = [&](bool use_delta) {
-    ube::DeltaEvaluator delta(evaluator, use_delta);
+  // `score(base, moves, candidates)` scores one one-move neighborhood.
+  auto sweep = [&](const auto& score) {
     evaluator.BeginRun();
     ube::Rng rng(bench.args().SolverSeed(913));
     ube::SearchState state(evaluator, rng);
@@ -205,21 +205,28 @@ void RunFlipSweep(ube::bench::BenchHarness& bench, bool delta_only) {
     for (int i = 0; i < kFlips; ++i) {
       if (!state.RandomMove(rng, &moves[0])) break;
       candidates[0] = state.Apply(moves[0]);
-      sink += delta.ScoreNeighborhood(state.sources(), moves, candidates,
-                                      /*pool=*/nullptr)[0];
+      sink += score(state.sources(), moves, candidates)[0];
       // Commit occasionally so the sweep pays realistic rebase costs.
       if (i % 8 == 7) state.Commit(moves[0]);
     }
     benchmark::DoNotOptimize(sink);
   };
 
-  const double delta_ms = bench.TimeMs("flip_delta", [&] { sweep(true); });
+  const double delta_ms = bench.TimeMs("flip_delta", [&] {
+    ube::DeltaEvaluator delta(evaluator);
+    sweep([&](const auto& base, const auto& moves, const auto& candidates) {
+      return delta.ScoreNeighborhood(base, moves, candidates, nullptr);
+    });
+  });
   const double delta_per_s = delta_ms > 0.0 ? kFlips / (delta_ms / 1e3) : 0.0;
   bench.SetMetric("flip_delta_per_s", delta_per_s);
   std::printf("flip sweep (delta): %d flips in %.2f ms (%.0f flips/s)\n",
               kFlips, delta_ms, delta_per_s);
-  if (delta_only) return;
-  const double full_ms = bench.TimeMs("flip_full", [&] { sweep(false); });
+  const double full_ms = bench.TimeMs("flip_full", [&] {
+    sweep([&](const auto&, const auto&, const auto& candidates) {
+      return evaluator.QualityBatch(candidates);
+    });
+  });
   const double full_per_s = full_ms > 0.0 ? kFlips / (full_ms / 1e3) : 0.0;
   bench.SetMetric("flip_full_per_s", full_per_s);
   const double speedup = delta_ms > 0.0 ? full_ms / delta_ms : 0.0;
@@ -259,12 +266,6 @@ class MetricReporter : public benchmark::ConsoleReporter {
 
 int main(int argc, char** argv) {
   ube::bench::BenchHarness bench("micro_ube");
-  bool delta_only = false;
-  bench.flags().AddBool(
-      "--delta",
-      "flip sweep: time the incremental delta path only (default times "
-      "both paths and records delta_flip_speedup)",
-      &delta_only);
   // Harness flags first; --benchmark_* (and anything else) passes through
   // to google-benchmark's own parser.
   bench.ParseKnownOrExit(&argc, argv);
@@ -273,6 +274,6 @@ int main(int argc, char** argv) {
   MetricReporter reporter(&bench);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  RunFlipSweep(bench, delta_only);
+  RunFlipSweep(bench);
   return bench.Finish();
 }

@@ -1,14 +1,18 @@
 // Neighborhood-evaluation throughput of CandidateEvaluator::QualityBatch
 // on the paper-scale 200-source universe: cache-cold batches of sampled
 // tabu neighborhoods, scored at 1/2/4/8 threads. Also cross-checks that the
-// parallel results are bit-identical to the sequential ones, and reports an
-// end-to-end tabu run at each thread count.
+// parallel results are bit-identical to the sequential ones, times the same
+// sweep through the solvers' incremental path (DeltaEvaluator) against
+// QualityBatch on a data-only model, and reports an end-to-end tabu run at
+// each thread count.
 //
 // Note: the speedup column only shows parallel gain on a multi-core host;
 // on a single hardware thread the batch path degenerates gracefully to
 // roughly sequential throughput.
 #include <cstdio>
+#include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -25,14 +29,19 @@ using namespace ube::bench;
 
 namespace {
 
+// Scores one neighborhood: base candidate, its sampled moves, and the
+// candidates they produce (parallel to the moves).
+using ScoreFn = std::function<std::vector<double>(
+    const std::vector<SourceId>& base, std::span<const SearchState::Move>,
+    std::span<const std::vector<SourceId>>)>;
+
 // One tabu-style neighborhood sweep: `batches` rounds of `sample` moves
-// from an evolving search state. Returns candidates per second.
-double MeasureThroughput(const CandidateEvaluator& evaluator, int threads,
-                         int batches, int sample,
+// from an evolving search state, each round scored by `score`. Returns
+// candidates per second.
+double MeasureThroughput(const CandidateEvaluator& evaluator,
+                         const ScoreFn& score, int batches, int sample,
                          std::vector<double>* qualities_out) {
   evaluator.BeginRun();
-  std::unique_ptr<ThreadPool> pool =
-      threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
   Rng rng(123);
   SearchState state(evaluator, rng);
   qualities_out->clear();
@@ -47,8 +56,7 @@ double MeasureThroughput(const CandidateEvaluator& evaluator, int threads,
       moves.push_back(move);
       candidates.push_back(state.Apply(move));
     }
-    std::vector<double> qualities =
-        evaluator.QualityBatch(candidates, pool.get());
+    std::vector<double> qualities = score(state.sources(), moves, candidates);
     scored += static_cast<int64_t>(qualities.size());
     qualities_out->insert(qualities_out->end(), qualities.begin(),
                           qualities.end());
@@ -63,53 +71,19 @@ double MeasureThroughput(const CandidateEvaluator& evaluator, int threads,
   return seconds > 0.0 ? static_cast<double>(scored) / seconds : 0.0;
 }
 
-// Same sweep through DeltaEvaluator (the solvers' flip-scoring front end).
-// With use_delta the one-move neighborhoods take the incremental path; off,
-// every call forwards to QualityBatch — scores are bit-identical either way.
-double MeasureDeltaThroughput(const CandidateEvaluator& evaluator,
-                              bool use_delta, int batches, int sample,
-                              std::vector<double>* qualities_out) {
-  evaluator.BeginRun();
-  DeltaEvaluator delta(evaluator, use_delta);
-  Rng rng(123);
-  SearchState state(evaluator, rng);
-  qualities_out->clear();
-  int64_t scored = 0;
-  WallTimer timer;
-  for (int b = 0; b < batches; ++b) {
-    std::vector<SearchState::Move> moves;
-    std::vector<std::vector<SourceId>> candidates;
-    for (int k = 0; k < sample; ++k) {
-      SearchState::Move move;
-      if (!state.RandomMove(rng, &move)) break;
-      moves.push_back(move);
-      candidates.push_back(state.Apply(move));
-    }
-    std::vector<double> qualities =
-        delta.ScoreNeighborhood(state.sources(), moves, candidates, nullptr);
-    scored += static_cast<int64_t>(qualities.size());
-    qualities_out->insert(qualities_out->end(), qualities.begin(),
-                          qualities.end());
-    size_t best = 0;
-    for (size_t k = 1; k < qualities.size(); ++k) {
-      if (qualities[k] > qualities[best]) best = k;
-    }
-    if (!moves.empty()) state.Commit(moves[best]);
-  }
-  double seconds = timer.ElapsedSeconds();
-  return seconds > 0.0 ? static_cast<double>(scored) / seconds : 0.0;
+// The full path: CandidateEvaluator::QualityBatch on `pool` (null = inline).
+ScoreFn FullPath(const CandidateEvaluator& evaluator, ThreadPool* pool) {
+  return [&evaluator, pool](const std::vector<SourceId>&,
+                            std::span<const SearchState::Move>,
+                            std::span<const std::vector<SourceId>> candidates) {
+    return evaluator.QualityBatch(candidates, pool);
+  };
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   BenchHarness bench("parallel_eval");
-  bool delta_only = false;
-  bench.flags().AddBool(
-      "--delta",
-      "delta section: time the incremental path only (default times both "
-      "paths and cross-checks bit-identity)",
-      &delta_only);
   bench.ParseOrExit(argc, argv);
   const BenchArgs& args = bench.args();
   WallTimer total;
@@ -128,16 +102,18 @@ int main(int argc, char** argv) {
   const int kBatches = 24;
   const int kSample = 64;
   std::vector<double> reference;
-  double base = MeasureThroughput(evaluator, 1, kBatches, kSample, &reference);
+  double base = MeasureThroughput(evaluator, FullPath(evaluator, nullptr),
+                                  kBatches, kSample, &reference);
   bench.SetMetric("cand_per_s_t1", base);
 
   bool all_identical = true;
   PrintRow({"threads", "cand/s", "speedup", "identical"});
   PrintRow({"1", Fmt("%.1f", base), "1.00x", "ref"});
   for (int threads : {2, 4, 8}) {
+    ThreadPool pool(threads);
     std::vector<double> qualities;
-    double rate =
-        MeasureThroughput(evaluator, threads, kBatches, kSample, &qualities);
+    double rate = MeasureThroughput(evaluator, FullPath(evaluator, &pool),
+                                    kBatches, kSample, &qualities);
     bool identical = qualities == reference;
     all_identical = all_identical && identical;
     if (threads == 8) bench.SetMetric("cand_per_s_t8", rate);
@@ -147,9 +123,10 @@ int main(int argc, char** argv) {
   }
   bench.SetMetric("batch_identical", static_cast<int64_t>(all_identical));
 
-  // Delta axis: single-flip neighborhoods on a data-only model (a matching
-  // QEF needs Match(S) and turns the delta path off by design).
-  std::printf("\nSingle-flip scoring, data-only model (--delta axis):\n");
+  // Single-flip neighborhoods on a data-only model, scored through the
+  // solvers' incremental path and through the full QualityBatch path
+  // (under a matching model both would be dominated by Match(S)).
+  std::printf("\nSingle-flip scoring, data-only model:\n");
   QualityModel data_model;
   data_model.AddQef(std::make_unique<CardinalityQef>(), 0.4);
   data_model.AddQef(std::make_unique<CoverageQef>(), 0.3);
@@ -159,31 +136,34 @@ int main(int argc, char** argv) {
                     0.1);
   CandidateEvaluator flip_evaluator(engine.universe(), engine.matcher(),
                                     data_model, spec);
-  PrintRow({"path", "cand/s", "speedup", "identical"});
   std::vector<double> delta_scores;
-  double delta_rate = MeasureDeltaThroughput(flip_evaluator, true, kBatches,
-                                             kSample, &delta_scores);
+  DeltaEvaluator delta(flip_evaluator);
+  double delta_rate = MeasureThroughput(
+      flip_evaluator,
+      [&delta](const std::vector<SourceId>& base,
+               std::span<const SearchState::Move> moves,
+               std::span<const std::vector<SourceId>> candidates) {
+        return delta.ScoreNeighborhood(base, moves, candidates, nullptr);
+      },
+      kBatches, kSample, &delta_scores);
+  std::vector<double> full_scores;
+  double full_rate =
+      MeasureThroughput(flip_evaluator, FullPath(flip_evaluator, nullptr),
+                        kBatches, kSample, &full_scores);
+  bool delta_identical = delta_scores == full_scores;
   bench.SetMetric("delta_cand_per_s", delta_rate);
-  if (delta_only) {
-    PrintRow({"delta", Fmt("%.1f", delta_rate), "-", "-"});
-  } else {
-    std::vector<double> full_scores;
-    double full_rate = MeasureDeltaThroughput(flip_evaluator, false, kBatches,
-                                              kSample, &full_scores);
-    bool delta_identical = delta_scores == full_scores;
-    bench.SetMetric("delta_off_cand_per_s", full_rate);
-    bench.SetMetric("delta_speedup",
-                    full_rate > 0.0 ? delta_rate / full_rate : 0.0);
-    bench.SetMetric("delta_identical", static_cast<int64_t>(delta_identical));
-    PrintRow({"full", Fmt("%.1f", full_rate), "1.00x", "ref"});
-    PrintRow({"delta", Fmt("%.1f", delta_rate),
-              Fmt("%.2f", full_rate > 0.0 ? delta_rate / full_rate : 0.0) +
-                  "x",
-              delta_identical ? "yes" : "NO"});
-    if (!delta_identical) {
-      std::printf("ERROR: delta scores diverged from the full path\n");
-      return 1;
-    }
+  bench.SetMetric("delta_off_cand_per_s", full_rate);
+  bench.SetMetric("delta_speedup",
+                  full_rate > 0.0 ? delta_rate / full_rate : 0.0);
+  bench.SetMetric("delta_identical", static_cast<int64_t>(delta_identical));
+  PrintRow({"path", "cand/s", "speedup", "identical"});
+  PrintRow({"full", Fmt("%.1f", full_rate), "1.00x", "ref"});
+  PrintRow({"delta", Fmt("%.1f", delta_rate),
+            Fmt("%.2f", full_rate > 0.0 ? delta_rate / full_rate : 0.0) + "x",
+            delta_identical ? "yes" : "NO"});
+  if (!delta_identical) {
+    std::printf("ERROR: delta scores diverged from the full path\n");
+    return 1;
   }
 
   std::printf("\nEnd-to-end tabu search (seed 1), same instance:\n");

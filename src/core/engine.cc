@@ -257,7 +257,6 @@ Result<ContinuousReport> Engine::RunContinuous(
       }
       step.repair_budget = repair.eval_budget;
       repair.num_threads = options.solver_options.num_threads;
-      repair.delta_eval = options.solver_options.delta_eval;
       repair.clock = options.solver_options.clock;
       if (repair.obs == nullptr) repair.obs = obs_;
       if (obs_ != nullptr) {

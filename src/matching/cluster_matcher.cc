@@ -88,9 +88,10 @@ Result<MatchResult> ClusterMatcher::Match(
     const std::vector<SourceId>& source_constraints,
     const std::vector<GlobalAttribute>& ga_constraints,
     const MatchOptions& options) const {
-  if (options.theta < graph_.floor()) {
+  // Negated so NaN (which fails every comparison) is rejected too.
+  if (!(options.theta >= graph_.floor() && options.theta <= 1.0)) {
     return Status::InvalidArgument(
-        "matching threshold θ is below the similarity graph floor");
+        "matching threshold θ must be in [similarity graph floor, 1]");
   }
   if (options.beta < 1) {
     return Status::InvalidArgument("β must be >= 1");

@@ -69,12 +69,13 @@ class ClusterMatcher {
   /// Runs Match over `sources` with source constraints `source_constraints`
   /// (must be a subset of `sources`) and GA constraints `ga_constraints`.
   ///
-  /// Returns a Status error for malformed input: duplicate/out-of-range
-  /// sources, constraints not contained in `sources`, invalid or mutually
-  /// intersecting GA constraints, or GA constraints referencing sources
-  /// outside `sources`. An infeasible (but well-formed) matching — the
-  /// result is not valid on the source constraints — returns a MatchResult
-  /// with valid == false and quality 0, not an error.
+  /// Returns a Status error for malformed input: θ outside [graph floor,
+  /// 1] (NaN included), β < 1, duplicate/out-of-range sources, constraints
+  /// not contained in `sources`, invalid or mutually intersecting GA
+  /// constraints, or GA constraints referencing sources outside `sources`.
+  /// An infeasible (but well-formed) matching — the result is not valid on
+  /// the source constraints — returns a MatchResult with valid == false and
+  /// quality 0, not an error.
   Result<MatchResult> Match(
       const std::vector<SourceId>& sources,
       const std::vector<SourceId>& source_constraints,

@@ -35,7 +35,7 @@ Result<Solution> AnnealingSolver::Solve(const CandidateEvaluator& evaluator,
   internal::SolveScope scope(evaluator, options, name());
   Rng rng(options.seed);
   std::unique_ptr<ThreadPool> pool = internal::MakeEvalPool(options);
-  DeltaEvaluator scorer = internal::MakeDeltaEvaluator(evaluator, options);
+  DeltaEvaluator scorer(evaluator);
 
   // Warm start: anneal from the (sanitized) seed instead of a random draw.
   // Checked before any rng use (cold fallback bit-identity).

@@ -1,5 +1,6 @@
 #include "optimize/delta_evaluator.h"
 
+#include <algorithm>
 #include <cstddef>
 
 #include "sketch/distinct_estimator.h"
@@ -8,31 +9,25 @@
 
 namespace ube {
 
-DeltaEvaluator::DeltaEvaluator(const CandidateEvaluator& evaluator,
-                               bool enable)
+namespace {
+
+/// Word buffer for one union estimate. Per thread, so the misses of a
+/// parallel batch never share one; each use overwrites it completely.
+std::vector<uint32_t>& UnionScratch(size_t words) {
+  thread_local std::vector<uint32_t> scratch;
+  scratch.resize(words);
+  return scratch;
+}
+
+}  // namespace
+
+DeltaEvaluator::DeltaEvaluator(const CandidateEvaluator& evaluator)
     : evaluator_(&evaluator) {
-  if (!enable) return;
   const QualityModel& model = evaluator.model();
   const Universe& universe = evaluator.universe();
-
-  // Every QEF must offer an incremental scorer, or the whole model falls
-  // back to full evaluation (a matching QEF's Match(S) cannot be
-  // delta-maintained, and a partial delta would break per-QEF bit-identity).
   for (int i = 0; i < model.num_qefs(); ++i) {
-    std::unique_ptr<QefDeltaScorer> scorer =
-        model.qef(i).MakeDeltaScorer(universe);
-    if (scorer == nullptr) {
-      scorers_.clear();
-      weights_.clear();
-      return;
-    }
-    scorers_.push_back(std::move(scorer));
-    // The evaluator's *effective* weights (spec overlay or model weights),
-    // so a session's overlay flows through the delta path bit-identically
-    // to the full path.
-    weights_.push_back(evaluator.effective_weights()[static_cast<size_t>(i)]);
+    scorers_.push_back(model.qef(i).MakeDeltaScorer(universe));
   }
-  active_ = true;
 
   // Per-source tables: the degradation policy is a pure function of each
   // source's stats, and the universe must not mutate during a search (the
@@ -64,8 +59,7 @@ DeltaEvaluator::DeltaEvaluator(const CandidateEvaluator& evaluator,
 
   // The word-wise union fast path needs every admitted signature to be a
   // PcsaSignature of one width; mixed or exact signatures use the generic
-  // Clone+MergeFrom fallback (still delta-scored, just without the
-  // prefix/suffix trick).
+  // Clone+MergeFrom union (the rest of the context stays incremental).
   pcsa_uniform_ = true;
   for (SourceEntry& e : entries_) {
     if (!e.admitted) continue;
@@ -83,7 +77,6 @@ DeltaEvaluator::DeltaEvaluator(const CandidateEvaluator& evaluator,
     e.pcsa_words = &words;
   }
   if (words_ == 0) pcsa_uniform_ = false;  // no admitted signature anywhere
-  if (pcsa_uniform_) scratch_.assign(words_, 0);
   admitted_index_.assign(static_cast<size_t>(n), -1);
 }
 
@@ -91,7 +84,6 @@ void DeltaEvaluator::FillScalars(const std::vector<SourceId>& candidate,
                                  EvalContext* ctx) const {
   ctx->universe = &evaluator_->universe();
   ctx->sources = &candidate;
-  ctx->match = nullptr;
   // Doubles are re-summed per evaluation, in candidate (ascending id)
   // order, from the precomputed per-source terms: identical operands in
   // identical order reproduce MakeContext's accumulation bits exactly.
@@ -109,18 +101,19 @@ void DeltaEvaluator::FillScalars(const std::vector<SourceId>& candidate,
 }
 
 double DeltaEvaluator::UnionFromScratch(
-    const std::vector<SourceId>& candidate) {
+    const std::vector<SourceId>& candidate) const {
   if (pcsa_uniform_) {
-    scratch_.assign(words_, 0);
+    std::vector<uint32_t>& scratch = UnionScratch(words_);
+    std::fill(scratch.begin(), scratch.end(), 0u);
     bool any = false;
     for (SourceId s : candidate) {
       const SourceEntry& e = entries_[static_cast<size_t>(s)];
       if (!e.admitted) continue;
       any = true;
       const std::vector<uint32_t>& words = *e.pcsa_words;
-      for (size_t w = 0; w < words_; ++w) scratch_[w] |= words[w];
+      for (size_t w = 0; w < words_; ++w) scratch[w] |= words[w];
     }
-    return any ? PcsaSketch::EstimateFromBitmaps(scratch_) : 0.0;
+    return any ? PcsaSketch::EstimateFromBitmaps(scratch) : 0.0;
   }
   // Generic signatures: replicate MakeContext's Clone-then-MergeFrom union
   // verbatim so the estimate bits cannot differ.
@@ -139,7 +132,6 @@ double DeltaEvaluator::UnionFromScratch(
 
 void DeltaEvaluator::Rebase(const std::vector<SourceId>& base) {
   base_ = base;
-  has_base_ = true;
   if (!pcsa_uniform_) return;
 
   for (SourceId s : base_admitted_) admitted_index_[static_cast<size_t>(s)] = -1;
@@ -173,7 +165,7 @@ void DeltaEvaluator::Rebase(const std::vector<SourceId>& base) {
   }
 }
 
-double DeltaEvaluator::UnionForMove(const SearchState::Move& move) {
+double DeltaEvaluator::UnionForMove(const SearchState::Move& move) const {
   const size_t k = base_admitted_.size();
   int admitted = static_cast<int>(k);
 
@@ -190,63 +182,61 @@ double DeltaEvaluator::UnionForMove(const SearchState::Move& move) {
   }
   if (admitted <= 0) return 0.0;
 
+  std::vector<uint32_t>& scratch = UnionScratch(words_);
   if (removed_at >= 0) {
     const uint32_t* lo = prefix_.data() + static_cast<size_t>(removed_at) * words_;
     const uint32_t* hi =
         suffix_.data() + (static_cast<size_t>(removed_at) + 1) * words_;
-    for (size_t w = 0; w < words_; ++w) scratch_[w] = lo[w] | hi[w];
+    for (size_t w = 0; w < words_; ++w) scratch[w] = lo[w] | hi[w];
   } else {
     const uint32_t* all = prefix_.data() + k * words_;
-    for (size_t w = 0; w < words_; ++w) scratch_[w] = all[w];
+    for (size_t w = 0; w < words_; ++w) scratch[w] = all[w];
   }
   if (added != nullptr) {
-    for (size_t w = 0; w < words_; ++w) scratch_[w] |= (*added)[w];
+    for (size_t w = 0; w < words_; ++w) scratch[w] |= (*added)[w];
   }
-  return PcsaSketch::EstimateFromBitmaps(scratch_);
+  return PcsaSketch::EstimateFromBitmaps(scratch);
 }
 
-QualityBreakdown DeltaEvaluator::Score(const EvalContext& ctx) const {
-  // The delta replica of QualityModel::Evaluate for a matching-free model:
-  // same per-QEF order, same weighted accumulation order.
+QualityBreakdown DeltaEvaluator::Compute(
+    const std::vector<SourceId>& candidate,
+    const SearchState::Move* move) const {
+  evaluator_->CountComputed();
+  const MatchResult match = evaluator_->MatchFor(candidate);
   QualityBreakdown out;
   out.scores.resize(scorers_.size(), 0.0);
+  if (!match.valid) {
+    out.feasible = false;  // as QualityModel::Evaluate: infeasible scores 0
+    return out;
+  }
+
+  EvalContext ctx;
+  FillScalars(candidate, &ctx);
+  ctx.match = &match;
+  ctx.union_estimate = move != nullptr && pcsa_uniform_
+                           ? UnionForMove(*move)
+                           : UnionFromScratch(candidate);
+  // QualityModel::Evaluate's weighted sum: same per-QEF order, same
+  // accumulation order, each QEF through its scorer or its own Evaluate.
+  const std::vector<double>& weights = evaluator_->effective_weights();
   for (size_t i = 0; i < scorers_.size(); ++i) {
-    out.scores[i] = scorers_[i]->Score(ctx);
-    out.overall += weights_[i] * out.scores[i];
+    out.scores[i] =
+        scorers_[i] != nullptr
+            ? scorers_[i]->Score(ctx)
+            : evaluator_->model().qef(static_cast<int>(i)).Evaluate(ctx);
+    out.overall += weights[i] * out.scores[i];
   }
   return out;
 }
 
-QualityBreakdown DeltaEvaluator::Compute(
-    const std::vector<SourceId>& candidate) {
-  UBE_CHECK(active_, "DeltaEvaluator::Compute requires an active delta path");
-  evaluator_->CountComputed();
-  EvalContext ctx;
-  FillScalars(candidate, &ctx);
-  ctx.union_estimate = UnionFromScratch(candidate);
-  return Score(ctx);
-}
-
-double DeltaEvaluator::ComputeForMove(const SearchState::Move& move,
-                                      const std::vector<SourceId>& candidate) {
-  evaluator_->CountComputed();
-  EvalContext ctx;
-  FillScalars(candidate, &ctx);
-  ctx.union_estimate =
-      pcsa_uniform_ ? UnionForMove(move) : UnionFromScratch(candidate);
-  return Score(ctx).overall;
-}
-
 double DeltaEvaluator::Quality(const std::vector<SourceId>& candidate) {
-  if (!active_) return evaluator_->Quality(candidate);
   return evaluator_->Memoized(candidate,
                               [&] { return Compute(candidate).overall; });
 }
 
 std::vector<double> DeltaEvaluator::ScoreCandidates(
     std::span<const std::vector<SourceId>> candidates, ThreadPool* pool) {
-  if (!active_) return evaluator_->QualityBatch(candidates, pool);
-  return Batch(candidates, nullptr);
+  return Batch(candidates, nullptr, pool);
 }
 
 std::vector<double> DeltaEvaluator::ScoreNeighborhood(
@@ -254,21 +244,22 @@ std::vector<double> DeltaEvaluator::ScoreNeighborhood(
     std::span<const std::vector<SourceId>> candidates, ThreadPool* pool) {
   UBE_DCHECK(moves.size() == candidates.size(),
              "moves and candidates must be parallel");
-  if (!active_) return evaluator_->QualityBatch(candidates, pool);
-  if (!has_base_ || base_ != base) Rebase(base);
-  return Batch(candidates, moves.data());
+  if (base_ != base) Rebase(base);
+  return Batch(candidates, moves.data(), pool);
 }
 
 std::vector<double> DeltaEvaluator::Batch(
     std::span<const std::vector<SourceId>> candidates,
-    const SearchState::Move* moves) {
-  // Same memoization as the full path; only the per-miss compute differs
-  // (delta, sequential — each miss is O(sketch words + |S|), so there is
-  // nothing worth parallelizing and thread-count invariance is structural).
-  return evaluator_->MemoizedBatch(candidates, nullptr, [&](size_t i) {
-    return moves != nullptr ? ComputeForMove(moves[i], candidates[i])
-                            : Compute(candidates[i]).overall;
-  });
+    const SearchState::Move* moves, ThreadPool* pool) {
+  // Same memoization as the full path; only the per-miss compute differs.
+  // Match(S) dominates a matching model's miss, so those run on the pool;
+  // a matching-free miss is O(sketch words + |S|) and runs inline.
+  return evaluator_->MemoizedBatch(
+      candidates, evaluator_->needs_matching_ ? pool : nullptr,
+      [&](size_t i) {
+        return Compute(candidates[i], moves != nullptr ? &moves[i] : nullptr)
+            .overall;
+      });
 }
 
 }  // namespace ube

@@ -169,7 +169,8 @@ CandidateEvaluator::CandidateEvaluator(const Universe& universe,
       required_(ComputeRequired(spec)),
       banned_(SortedUnique(spec.banned_sources)),
       effective_weights_(spec.weight_overlay.empty() ? model.weights()
-                                                     : spec.weight_overlay) {
+                                                     : spec.weight_overlay),
+      needs_matching_(model.NeedsMatching()) {
   Status status = ValidateSpec(universe, spec);
   UBE_CHECK(status.ok(), "invalid ProblemSpec: " + status.ToString());
   status = ValidateOverlay(model, spec);
@@ -196,7 +197,8 @@ Status CandidateEvaluator::ValidateSpec(const Universe& universe,
   if (spec.max_sources < 1) {
     return Status::InvalidArgument("m (max_sources) must be >= 1");
   }
-  if (spec.theta < 0.0 || spec.theta > 1.0) {
+  // Negated so NaN (which fails every comparison) is rejected too.
+  if (!(spec.theta >= 0.0 && spec.theta <= 1.0)) {
     return Status::InvalidArgument("θ must be in [0, 1]");
   }
   if (spec.beta < 1) {
@@ -277,22 +279,27 @@ CandidateEvaluator::Evaluation CandidateEvaluator::Evaluate(
 
   CountComputed();
   Evaluation out;
-  if (model_.NeedsMatching()) {
-    MatchOptions options;
-    options.theta = spec_.theta;
-    options.beta = spec_.beta;
-    Result<MatchResult> match =
-        matcher_.Match(candidate, spec_.source_constraints,
-                       spec_.ga_constraints, options);
-    UBE_CHECK(match.ok(), "Match failed: " + match.status().ToString());
-    out.match = std::move(match).value();
-  } else {
-    out.match.valid = true;  // no matching QEF: feasibility is structural
-  }
+  out.match = MatchFor(candidate);
   EvalContext ctx = model_.MakeContext(universe_, candidate, &out.match);
   out.breakdown = model_.Evaluate(ctx, effective_weights_);
   out.quality = out.breakdown.overall;
   return out;
+}
+
+MatchResult CandidateEvaluator::MatchFor(
+    const std::vector<SourceId>& candidate) const {
+  if (!needs_matching_) {
+    MatchResult none;
+    none.valid = true;  // no matching QEF: feasibility is structural
+    return none;
+  }
+  MatchOptions options;
+  options.theta = spec_.theta;
+  options.beta = spec_.beta;
+  Result<MatchResult> match = matcher_.Match(
+      candidate, spec_.source_constraints, spec_.ga_constraints, options);
+  UBE_CHECK(match.ok(), "Match failed: " + match.status().ToString());
+  return std::move(match).value();
 }
 
 uint64_t CandidateEvaluator::CacheKey(

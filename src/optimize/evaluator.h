@@ -122,8 +122,8 @@ class SharedQualityCache {
 /// the batch runs inline, on one worker, or on many: cache probing and
 /// intra-batch deduplication happen sequentially up front, only the cache
 /// misses (each a pure function of its candidate) are computed in
-/// parallel, and insertion happens sequentially afterwards. The delta path
-/// (DeltaEvaluator) memoizes through the same routine.
+/// parallel, and insertion happens sequentially afterwards. The solvers'
+/// scoring path (DeltaEvaluator) memoizes through the same routine.
 class CandidateEvaluator {
  public:
   /// All referees must outlive the evaluator. Call ValidateSpec (and
@@ -188,8 +188,8 @@ class CandidateEvaluator {
 
   /// The weights every evaluation here runs under: the spec's weight
   /// overlay when present, the model's weights otherwise. The delta path
-  /// copies these (not the model's) so full and delta scoring agree bitwise
-  /// under an overlay.
+  /// scores under these (not the model's) so full and delta scoring agree
+  /// bitwise under an overlay.
   const std::vector<double>& effective_weights() const {
     return effective_weights_;
   }
@@ -248,10 +248,14 @@ class CandidateEvaluator {
   void SetHashFunctionForTesting(HashFn fn) { hash_fn_ = fn; }
 
  private:
-  /// The delta path (optimize/delta_evaluator.h) memoizes through
-  /// Memoized/MemoizedBatch and counts through CountComputed, so budgets
-  /// and metrics stay identical with delta scoring on or off.
+  /// The solvers' scoring path (optimize/delta_evaluator.h) matches through
+  /// MatchFor, memoizes through Memoized/MemoizedBatch and counts through
+  /// CountComputed, so its budgets and metrics are this class's.
   friend class DeltaEvaluator;
+
+  /// Match(S, C, G) under the spec's θ/β when the model needs matching; a
+  /// valid empty result otherwise.
+  MatchResult MatchFor(const std::vector<SourceId>& candidate) const;
 
   static uint64_t HashCandidate(const std::vector<SourceId>& candidate);
 
@@ -297,6 +301,8 @@ class CandidateEvaluator {
   std::vector<SourceId> required_;
   std::vector<SourceId> banned_;
   std::vector<double> effective_weights_;
+  /// QualityModel::NeedsMatching(), decided once at construction.
+  bool needs_matching_;
   uint64_t spec_fingerprint_ = 0;
   mutable SharedQualityCache* shared_cache_ = nullptr;
   mutable SharedQualityCache own_cache_;

@@ -26,7 +26,6 @@ SolverOptions AsSolverOptions(const RepairOptions& options) {
   solver.max_evaluations = options.eval_budget;
   solver.candidate_moves = options.candidate_moves;
   solver.num_threads = options.num_threads;
-  solver.delta_eval = options.delta_eval;
   solver.clock = options.clock;
   solver.obs = options.obs;
   solver.stall_iterations = 0;  // convergence is the natural stop
@@ -127,8 +126,7 @@ RepairResult RepairIncumbent(const CandidateEvaluator& evaluator,
   internal::SolveScope scope(evaluator, solver_options, "repair");
   Rng rng(solver_options.seed);
   std::unique_ptr<ThreadPool> pool = internal::MakeEvalPool(solver_options);
-  DeltaEvaluator delta =
-      internal::MakeDeltaEvaluator(evaluator, solver_options);
+  DeltaEvaluator delta(evaluator);
 
   SearchState state(evaluator, damaged);
   double current = delta.Quality(state.sources());

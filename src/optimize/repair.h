@@ -27,12 +27,9 @@ struct RepairOptions {
   int64_t eval_budget = 2'000;
   /// Moves sampled per iteration (0 = auto, same rule as local search).
   int candidate_moves = 0;
-  /// QualityBatch threads (1 = inline); the result is identical for any
-  /// value, per the evaluator's bit-identity contract.
+  /// Evaluation threads, as SolverOptions::num_threads; the result is
+  /// identical for any value, per the evaluator's bit-identity contract.
   int num_threads = 1;
-  /// Delta scoring (see SolverOptions::delta_eval) — bit-identical results
-  /// either way.
-  bool delta_eval = true;
   /// Injectable clock (tests); null = real steady clock.
   const Clock* clock = nullptr;
   /// Optional observability context (solve/repair span, solver metrics).

@@ -41,23 +41,17 @@ struct SolverOptions {
   /// Record a TracePoint in SolverStats::trace every time the incumbent
   /// improves (for convergence analysis; small overhead).
   bool record_trace = false;
-  /// Worker threads for neighborhood evaluation (QualityBatch). 1 = the
-  /// sequential path (default), 0 = hardware_concurrency, N = exactly N.
-  /// For a fixed seed the returned Solution (sources, quality, trace,
-  /// counters) is identical for every value — only wall-clock changes.
+  /// Worker threads for neighborhood evaluation. 1 = the sequential path
+  /// (default), 0 = hardware_concurrency, N = exactly N. Used only when the
+  /// model runs Match(S); matching-free misses are cheap and stay inline
+  /// (optimize/delta_evaluator.h). For a fixed seed the returned Solution
+  /// (sources, quality, trace, counters) is identical for every value.
   int num_threads = 1;
   /// Optional observability context (metrics + tracing + per-iteration
   /// telemetry). Not owned; must outlive the Solve call. Null (default)
   /// disables all instrumentation — the deterministic parts of the
   /// returned Solution are byte-identical either way.
   obs::ObsContext* obs = nullptr;
-  /// Score candidates through the incremental delta path
-  /// (optimize/delta_evaluator.h) when the quality model supports it
-  /// (every QEF provides a delta scorer; matching models fall back to the
-  /// full path automatically). Results, counters and traces are
-  /// bit-identical on or off — this knob exists for A/B benchmarking
-  /// (bench/micro_ube --delta) and as an escape hatch.
-  bool delta_eval = true;
   /// Warm-start seed: a candidate the search starts from instead of a
   /// random draw — typically the previous incumbent of a feedback session,
   /// repaired against the new spec (Engine::RepairSeed). Every solver

@@ -103,17 +103,8 @@ Status CheckSolvable(const CandidateEvaluator& evaluator);
 std::vector<SourceId> ValidWarmStart(const CandidateEvaluator& evaluator,
                                      const SolverOptions& options);
 
-/// Delta scoring front-end per SolverOptions::delta_eval. Inactive (pure
-/// pass-through to the full path) when the flag is off or the model has a
-/// QEF without a delta scorer; either way solvers call the same
-/// Quality/ScoreCandidates/ScoreNeighborhood API.
-inline DeltaEvaluator MakeDeltaEvaluator(const CandidateEvaluator& evaluator,
-                                         const SolverOptions& options) {
-  return DeltaEvaluator(evaluator, options.delta_eval);
-}
-
-/// Thread pool for QualityBatch per SolverOptions::num_threads, or null
-/// when the resolved count is 1 (QualityBatch then evaluates inline).
+/// Thread pool for batch scoring per SolverOptions::num_threads, or null
+/// when the resolved count is 1 (batches then evaluate inline).
 std::unique_ptr<ThreadPool> MakeEvalPool(const SolverOptions& options);
 
 }  // namespace ube::internal

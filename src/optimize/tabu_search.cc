@@ -34,7 +34,7 @@ Result<Solution> TabuSearchSolver::Solve(const CandidateEvaluator& evaluator,
   internal::SolveScope scope(evaluator, options, name());
   Rng rng(options.seed);
   std::unique_ptr<ThreadPool> pool = internal::MakeEvalPool(options);
-  DeltaEvaluator delta = internal::MakeDeltaEvaluator(evaluator, options);
+  DeltaEvaluator delta(evaluator);
 
   const int n = evaluator.universe().num_sources();
   const int tenure =

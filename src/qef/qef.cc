@@ -11,25 +11,49 @@ namespace {
 
 double Clamp01(double x) { return std::clamp(x, 0.0, 1.0); }
 
-/// Card / Coverage / Redundancy read only the aggregates the context
-/// already carries, so given a prepared context their Evaluate is O(1);
-/// the delta scorer simply forwards to it (one implementation, no drift).
-class ForwardingDeltaScorer final : public QefDeltaScorer {
- public:
-  explicit ForwardingDeltaScorer(const Qef* qef) : qef_(qef) {}
-  double Score(const EvalContext& ctx) const override {
-    return qef_->Evaluate(ctx);
+/// Section 5's aggregation of a characteristic over S, shared by
+/// CharacteristicQef::Evaluate and its table scorer so both run identical
+/// arithmetic in identical order — identical bits. `normalized(s)` and
+/// `cardinality(s)` give one member's normalized value and |s|.
+template <typename Normalized, typename Cardinality>
+double Aggregate(Aggregation aggregation, const std::vector<SourceId>& sources,
+                 const Normalized& normalized, const Cardinality& cardinality) {
+  switch (aggregation) {
+    case Aggregation::kWeightedSum: {
+      // wsum(S) = Σ_s normalized(q_s)·|s| / Σ_s |s|  (Section 5).
+      double weighted = 0.0;
+      double total_card = 0.0;
+      for (SourceId s : sources) {
+        double card = cardinality(s);
+        weighted += normalized(s) * card;
+        total_card += card;
+      }
+      if (total_card <= 0.0) return 0.0;
+      return Clamp01(weighted / total_card);
+    }
+    case Aggregation::kMean: {
+      double sum = 0.0;
+      for (SourceId s : sources) sum += normalized(s);
+      return Clamp01(sum / static_cast<double>(sources.size()));
+    }
+    case Aggregation::kMin: {
+      double best = 1.0;
+      for (SourceId s : sources) best = std::min(best, normalized(s));
+      return best;
+    }
+    case Aggregation::kMax: {
+      double best = 0.0;
+      for (SourceId s : sources) best = std::max(best, normalized(s));
+      return best;
+    }
   }
-
- private:
-  const Qef* qef_;
-};
+  UBE_CHECK(false, "unknown aggregation");
+  return 0.0;
+}
 
 /// CharacteristicQef's Evaluate rescans the universe (min/max) and hits the
 /// per-source characteristic map for every candidate. This scorer freezes
-/// both into per-source tables at construction and replays Evaluate's exact
-/// aggregation arithmetic over them, in candidate order — identical
-/// operands, identical order, identical bits.
+/// both into per-source tables at construction and aggregates over them.
 class CharacteristicDeltaScorer final : public QefDeltaScorer {
  public:
   CharacteristicDeltaScorer(Aggregation aggregation, bool any,
@@ -41,43 +65,11 @@ class CharacteristicDeltaScorer final : public QefDeltaScorer {
         cardinality_(std::move(cardinality)) {}
 
   double Score(const EvalContext& ctx) const override {
-    const std::vector<SourceId>& sources = *ctx.sources;
-    if (sources.empty()) return 0.0;
-    if (!any_) return 0.0;
-    switch (aggregation_) {
-      case Aggregation::kWeightedSum: {
-        double weighted = 0.0;
-        double total_card = 0.0;
-        for (SourceId s : sources) {
-          double card = cardinality_[static_cast<size_t>(s)];
-          weighted += normalized_[static_cast<size_t>(s)] * card;
-          total_card += card;
-        }
-        if (total_card <= 0.0) return 0.0;
-        return Clamp01(weighted / total_card);
-      }
-      case Aggregation::kMean: {
-        double sum = 0.0;
-        for (SourceId s : sources) sum += normalized_[static_cast<size_t>(s)];
-        return Clamp01(sum / static_cast<double>(sources.size()));
-      }
-      case Aggregation::kMin: {
-        double best = 1.0;
-        for (SourceId s : sources) {
-          best = std::min(best, normalized_[static_cast<size_t>(s)]);
-        }
-        return best;
-      }
-      case Aggregation::kMax: {
-        double best = 0.0;
-        for (SourceId s : sources) {
-          best = std::max(best, normalized_[static_cast<size_t>(s)]);
-        }
-        return best;
-      }
-    }
-    UBE_CHECK(false, "unknown aggregation");
-    return 0.0;
+    if (ctx.sources->empty() || !any_) return 0.0;
+    return Aggregate(
+        aggregation_, *ctx.sources,
+        [this](SourceId s) { return normalized_[static_cast<size_t>(s)]; },
+        [this](SourceId s) { return cardinality_[static_cast<size_t>(s)]; });
   }
 
  private:
@@ -108,38 +100,11 @@ double MatchingQualityQef::Evaluate(const EvalContext& ctx) const {
   return Clamp01(ctx.match->matching_quality);
 }
 
-std::unique_ptr<QefDeltaScorer> CardinalityQef::MakeDeltaScorer(
-    const Universe& universe) const {
-  (void)universe;
-  return std::make_unique<ForwardingDeltaScorer>(this);
-}
-
-std::unique_ptr<QefDeltaScorer> CoverageQef::MakeDeltaScorer(
-    const Universe& universe) const {
-  (void)universe;
-  return std::make_unique<ForwardingDeltaScorer>(this);
-}
-
-std::unique_ptr<QefDeltaScorer> RedundancyQef::MakeDeltaScorer(
-    const Universe& universe) const {
-  (void)universe;
-  return std::make_unique<ForwardingDeltaScorer>(this);
-}
-
 std::unique_ptr<QefDeltaScorer> CharacteristicQef::MakeDeltaScorer(
     const Universe& universe) const {
-  // The same universe-wide min/max scan Evaluate performs per candidate.
-  double min_u = std::numeric_limits<double>::infinity();
-  double max_u = -std::numeric_limits<double>::infinity();
-  bool any = false;
-  for (SourceId s = 0; s < universe.num_sources(); ++s) {
-    std::optional<double> value =
-        universe.source(s).GetCharacteristic(characteristic_);
-    if (!value.has_value()) continue;
-    any = true;
-    min_u = std::min(min_u, *value);
-    max_u = std::max(max_u, *value);
-  }
+  double min_u = 0.0;
+  double max_u = 0.0;
+  const bool any = Range(universe, &min_u, &max_u);
   const size_t n = static_cast<size_t>(universe.num_sources());
   std::vector<double> normalized(n, 0.0);
   std::vector<double> cardinality(n, 0.0);
@@ -222,62 +187,36 @@ double CharacteristicQef::Normalized(const Universe& universe, SourceId s,
   return Clamp01(normalized);
 }
 
-double CharacteristicQef::Evaluate(const EvalContext& ctx) const {
-  UBE_CHECK(ctx.universe != nullptr && ctx.sources != nullptr,
-            "EvalContext missing universe or sources");
-  const Universe& universe = *ctx.universe;
-  const std::vector<SourceId>& sources = *ctx.sources;
-  if (sources.empty()) return 0.0;
-
-  // Universe-wide min/max over sources that define the characteristic.
-  double min_u = std::numeric_limits<double>::infinity();
-  double max_u = -std::numeric_limits<double>::infinity();
+bool CharacteristicQef::Range(const Universe& universe, double* min_u,
+                              double* max_u) const {
+  *min_u = std::numeric_limits<double>::infinity();
+  *max_u = -std::numeric_limits<double>::infinity();
   bool any = false;
   for (SourceId s = 0; s < universe.num_sources(); ++s) {
     std::optional<double> value =
         universe.source(s).GetCharacteristic(characteristic_);
     if (!value.has_value()) continue;
     any = true;
-    min_u = std::min(min_u, *value);
-    max_u = std::max(max_u, *value);
+    *min_u = std::min(*min_u, *value);
+    *max_u = std::max(*max_u, *value);
   }
-  if (!any) return 0.0;
+  return any;
+}
 
-  switch (aggregation_) {
-    case Aggregation::kWeightedSum: {
-      // wsum(S) = Σ_s normalized(q_s)·|s| / Σ_s |s|  (Section 5).
-      double weighted = 0.0;
-      double total_card = 0.0;
-      for (SourceId s : sources) {
-        auto card = static_cast<double>(universe.source(s).cardinality());
-        weighted += Normalized(universe, s, min_u, max_u) * card;
-        total_card += card;
-      }
-      if (total_card <= 0.0) return 0.0;
-      return Clamp01(weighted / total_card);
-    }
-    case Aggregation::kMean: {
-      double sum = 0.0;
-      for (SourceId s : sources) sum += Normalized(universe, s, min_u, max_u);
-      return Clamp01(sum / static_cast<double>(sources.size()));
-    }
-    case Aggregation::kMin: {
-      double best = 1.0;
-      for (SourceId s : sources) {
-        best = std::min(best, Normalized(universe, s, min_u, max_u));
-      }
-      return best;
-    }
-    case Aggregation::kMax: {
-      double best = 0.0;
-      for (SourceId s : sources) {
-        best = std::max(best, Normalized(universe, s, min_u, max_u));
-      }
-      return best;
-    }
-  }
-  UBE_CHECK(false, "unknown aggregation");
-  return 0.0;
+double CharacteristicQef::Evaluate(const EvalContext& ctx) const {
+  UBE_CHECK(ctx.universe != nullptr && ctx.sources != nullptr,
+            "EvalContext missing universe or sources");
+  const Universe& universe = *ctx.universe;
+  if (ctx.sources->empty()) return 0.0;
+  double min_u = 0.0;
+  double max_u = 0.0;
+  if (!Range(universe, &min_u, &max_u)) return 0.0;
+  return Aggregate(
+      aggregation_, *ctx.sources,
+      [&](SourceId s) { return Normalized(universe, s, min_u, max_u); },
+      [&](SourceId s) {
+        return static_cast<double>(universe.source(s).cardinality());
+      });
 }
 
 }  // namespace ube

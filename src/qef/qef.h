@@ -85,7 +85,8 @@ struct EvalContext {
 /// any of the per-candidate universe-wide work Evaluate may redo on each
 /// call (min/max scans, characteristic lookups). Built once per search by
 /// Qef::MakeDeltaScorer against an immutable universe; the DeltaEvaluator
-/// (src/optimize/delta_evaluator.h) drives it from the solvers' flip loops.
+/// (src/optimize/delta_evaluator.h) drives it from the solvers' flip loops
+/// and scores QEFs without one through Evaluate.
 ///
 /// Contract: Score(ctx) must return a double bit-identical to the owning
 /// Qef's Evaluate(ctx) for every context the quality model can build over
@@ -111,10 +112,9 @@ class Qef {
 
   /// Factory for this QEF's incremental scorer over `universe` (which must
   /// outlive the scorer and stay immutable while it is used). The default
-  /// returns null, meaning the QEF cannot be scored without per-candidate
-  /// global work — true for the matching-based QEFs (Match(S) is not
-  /// delta-maintainable) and user lambdas (opaque) — and the DeltaEvaluator
-  /// then falls back to full evaluation for the whole model.
+  /// returns null, meaning "score with Evaluate" on the DeltaEvaluator's
+  /// context; only a QEF whose Evaluate redoes universe-wide work per
+  /// candidate needs a scorer.
   virtual std::unique_ptr<QefDeltaScorer> MakeDeltaScorer(
       const Universe& universe) const {
     (void)universe;
@@ -136,8 +136,6 @@ class CardinalityQef final : public Qef {
  public:
   double Evaluate(const EvalContext& ctx) const override;
   std::string_view name() const override { return "cardinality"; }
-  std::unique_ptr<QefDeltaScorer> MakeDeltaScorer(
-      const Universe& universe) const override;
 };
 
 /// F3: Coverage(S) = |∪S| / |∪U| — how much of the universe's distinct
@@ -147,8 +145,6 @@ class CoverageQef final : public Qef {
  public:
   double Evaluate(const EvalContext& ctx) const override;
   std::string_view name() const override { return "coverage"; }
-  std::unique_ptr<QefDeltaScorer> MakeDeltaScorer(
-      const Universe& universe) const override;
 };
 
 /// F4: Redundancy(S) — degree of overlap among the sources of S, oriented
@@ -168,8 +164,6 @@ class RedundancyQef final : public Qef {
   explicit RedundancyQef(Mode mode = Mode::kOverlapFactor) : mode_(mode) {}
   double Evaluate(const EvalContext& ctx) const override;
   std::string_view name() const override { return "redundancy"; }
-  std::unique_ptr<QefDeltaScorer> MakeDeltaScorer(
-      const Universe& universe) const override;
   Mode mode() const { return mode_; }
 
  private:
@@ -226,6 +220,9 @@ class CharacteristicQef final : public Qef {
   bool invert() const { return invert_; }
 
  private:
+  /// Universe-wide [*min_u, *max_u] over the sources that define the
+  /// characteristic; false when none does.
+  bool Range(const Universe& universe, double* min_u, double* max_u) const;
   /// Normalized value of one source, or 0 if it lacks the characteristic or
   /// the universe-wide range is degenerate (then every source scores 1).
   double Normalized(const Universe& universe, SourceId s, double min_u,

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <variant>
 
@@ -45,18 +46,20 @@ Result<double> Number(const JsonObject& object, const std::string& key) {
   return *value;
 }
 
-}  // namespace
-
-Result<GoldenSmallUniverse> LoadGoldenSmallUniverse(const std::string& path) {
+Result<JsonValue> ParseFile(const std::string& path) {
   std::ifstream file(path);
   if (!file) {
     return Status::NotFound("cannot open golden file: " + path);
   }
   std::ostringstream buffer;
   buffer << file.rdbuf();
-  const std::string text = buffer.str();
+  return json::Parse(buffer.str());
+}
 
-  Result<JsonValue> root = json::Parse(text);
+}  // namespace
+
+Result<GoldenSmallUniverse> LoadGoldenSmallUniverse(const std::string& path) {
+  Result<JsonValue> root = ParseFile(path);
   if (!root.ok()) return root.status();
   const JsonObject* top = std::get_if<JsonObject>(&root->data);
   if (top == nullptr) {
@@ -189,6 +192,37 @@ Result<GoldenSmallUniverse> LoadGoldenSmallUniverse(const std::string& path) {
   golden.optimal_quality = *quality;
 
   return golden;
+}
+
+Result<std::map<std::string, uint64_t>> LoadGoldenDigests(
+    const std::string& path) {
+  Result<JsonValue> root = ParseFile(path);
+  if (!root.ok()) return root.status();
+  const JsonObject* top = std::get_if<JsonObject>(&root->data);
+  if (top == nullptr) {
+    return Status::InvalidArgument("golden file root must be an object");
+  }
+  Status keys = UnknownKeys(*top, {"description", "digests"}, "top level");
+  if (!keys.ok()) return keys;
+  auto digests_it = top->find("digests");
+  const JsonObject* digests =
+      digests_it == top->end()
+          ? nullptr
+          : std::get_if<JsonObject>(&digests_it->second.data);
+  if (digests == nullptr) {
+    return Status::InvalidArgument("missing 'digests' object");
+  }
+  std::map<std::string, uint64_t> out;
+  for (const auto& [name, value] : *digests) {
+    const std::string* hex = std::get_if<std::string>(&value.data);
+    if (hex == nullptr || hex->size() != 16 ||
+        hex->find_first_not_of("0123456789abcdef") != std::string::npos) {
+      return Status::InvalidArgument("digest '" + name +
+                                     "' must be 16 lowercase hex digits");
+    }
+    out[name] = std::stoull(*hex, nullptr, 16);
+  }
+  return out;
 }
 
 }  // namespace ube::testkit

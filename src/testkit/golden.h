@@ -2,6 +2,7 @@
 #define UBE_TESTKIT_GOLDEN_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,13 @@ struct GoldenSmallUniverse {
 /// files use: objects, arrays, numbers, strings, bools). Unknown keys are
 /// an error so stale files fail loudly instead of silently defaulting.
 Result<GoldenSmallUniverse> LoadGoldenSmallUniverse(const std::string& path);
+
+/// Loads a golden digest file: a JSON object
+///   {"description": "...", "digests": {"<case name>": "<16 hex digits>"}}
+/// mapping each recorded case to its 64-bit digest (e.g. SolutionDigest).
+/// Digests are hex strings because a JSON number cannot carry 64 bits.
+Result<std::map<std::string, uint64_t>> LoadGoldenDigests(
+    const std::string& path);
 
 }  // namespace ube::testkit
 

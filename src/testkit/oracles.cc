@@ -1,6 +1,9 @@
 #include "testkit/oracles.h"
 
 #include <algorithm>
+#include <bit>
+
+#include "util/rng.h"
 
 namespace ube::testkit {
 
@@ -13,6 +16,34 @@ SolverOptions PropertySolverOptions(uint64_t seed) {
   options.swarm_size = 10;
   options.random_samples = 120;
   return options;
+}
+
+uint64_t MixDigest(uint64_t digest, uint64_t value) {
+  return SplitMix64(digest ^ value);
+}
+
+uint64_t MixDigestBits(uint64_t digest, double value) {
+  return MixDigest(digest, std::bit_cast<uint64_t>(value));
+}
+
+uint64_t SolutionDigest(const Solution& solution) {
+  uint64_t h = MixDigest(0x5017d16e57ULL, solution.sources.size());
+  for (SourceId s : solution.sources) {
+    h = MixDigest(h, static_cast<uint64_t>(static_cast<uint32_t>(s)));
+  }
+  h = MixDigestBits(h, solution.quality);
+  h = MixDigest(h, solution.breakdown.scores.size());
+  for (double score : solution.breakdown.scores) h = MixDigestBits(h, score);
+  h = MixDigest(h, static_cast<uint64_t>(solution.stats.iterations));
+  h = MixDigest(h, static_cast<uint64_t>(solution.stats.evaluations));
+  h = MixDigest(h, static_cast<uint64_t>(solution.stats.cache_hits));
+  h = MixDigest(h, static_cast<uint64_t>(solution.stats.stop_reason));
+  h = MixDigest(h, solution.stats.trace.size());
+  for (const TracePoint& point : solution.stats.trace) {
+    h = MixDigest(h, static_cast<uint64_t>(point.evaluations));
+    h = MixDigestBits(h, point.best_quality);
+  }
+  return h;
 }
 
 std::vector<SourceId> RequiredSources(const ProblemSpec& spec) {

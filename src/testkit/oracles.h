@@ -32,6 +32,18 @@ SolverOptions PropertySolverOptions(uint64_t seed);
 ::testing::AssertionResult SolutionsBitIdentical(const Solution& a,
                                                  const Solution& b);
 
+/// Folds one value into a running order-sensitive 64-bit digest
+/// (SplitMix64 chaining). Doubles go in by bit pattern, so a digest pins
+/// exact values, not approximations.
+uint64_t MixDigest(uint64_t digest, uint64_t value);
+uint64_t MixDigestBits(uint64_t digest, double value);
+
+/// Digest of everything SolutionsBitIdentical compares — sources, quality
+/// bits, iteration/evaluation/cache counters, the full incumbent trace —
+/// plus the stop reason and the per-QEF score bits. Golden digest files
+/// (LoadGoldenDigests) pin whole solver runs with it.
+uint64_t SolutionDigest(const Solution& solution);
+
 /// C ∪ {sources referenced by the GA constraints}, sorted unique — the
 /// sources every feasible solution must contain.
 std::vector<SourceId> RequiredSources(const ProblemSpec& spec);

@@ -1,8 +1,12 @@
 // Engine::RunContinuous and the bounded incumbent repair: the zero-churn
 // bit-identity contract, churn-trace determinism across thread counts, the
-// repair-then-escalate policy, and RepairIncumbent's sanitize semantics.
+// digest-pinned churn replay, the repair-then-escalate policy, and
+// RepairIncumbent's sanitize semantics.
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -14,6 +18,8 @@
 #include "optimize/repair.h"
 #include "qef/quality_model.h"
 #include "source/flaky.h"
+#include "testkit/golden.h"
+#include "testkit/oracles.h"
 #include "workload/generator.h"
 
 namespace ube {
@@ -68,6 +74,49 @@ void ExpectSameSolution(const Solution& a, const Solution& b) {
   for (size_t i = 0; i < a.breakdown.scores.size(); ++i) {
     EXPECT_EQ(a.breakdown.scores[i], b.breakdown.scores[i]);
   }
+}
+
+QualityModel DataOnlyModel() {
+  QualityModel model;
+  model.AddQef(std::make_unique<CardinalityQef>(), 0.4);
+  model.AddQef(std::make_unique<CoverageQef>(), 0.3);
+  model.AddQef(std::make_unique<RedundancyQef>(), 0.2);
+  model.AddQef(std::make_unique<CharacteristicQef>(
+                   "mttf", Aggregation::kWeightedSum),
+               0.1);
+  return model;
+}
+
+// Digest of everything deterministic in a RunContinuous: every step's
+// fields except wall-clock time, the aggregates, and the final Solution.
+uint64_t ReportDigest(const ContinuousReport& report) {
+  using testkit::MixDigest;
+  using testkit::MixDigestBits;
+  uint64_t h = MixDigest(0xc0471905ULL, report.steps.size());
+  for (const ContinuousStep& step : report.steps) {
+    h = MixDigestBits(h, step.time_ms);
+    h = MixDigest(h, static_cast<uint64_t>(step.events_applied));
+    h = MixDigest(h, static_cast<uint64_t>(step.evicted));
+    h = MixDigest(h, static_cast<uint64_t>(step.drift_events));
+    h = MixDigest(h, step.escalated ? 1 : 0);
+    h = MixDigest(h, static_cast<uint64_t>(step.escalation_reason));
+    h = MixDigest(h, static_cast<uint64_t>(step.repair_budget));
+    h = MixDigestBits(h, step.quality_before);
+    h = MixDigestBits(h, step.quality_after);
+    h = MixDigest(h, static_cast<uint64_t>(step.evaluations));
+    h = MixDigest(h, step.incumbent.size());
+    for (SourceId s : step.incumbent) {
+      h = MixDigest(h, static_cast<uint64_t>(static_cast<uint32_t>(s)));
+    }
+  }
+  h = MixDigest(h, static_cast<uint64_t>(report.events_applied));
+  h = MixDigest(h, static_cast<uint64_t>(report.drift_events));
+  h = MixDigest(h, static_cast<uint64_t>(report.repair_evaluations));
+  h = MixDigest(h, static_cast<uint64_t>(report.full_solves));
+  h = MixDigest(h, static_cast<uint64_t>(report.repairs));
+  h = MixDigest(h, static_cast<uint64_t>(report.escalations));
+  h = MixDigestBits(h, report.last_full_quality);
+  return MixDigest(h, testkit::SolutionDigest(report.final_solution));
 }
 
 // Zero-churn contract: an empty feed makes RunContinuous exactly a one-shot
@@ -135,54 +184,35 @@ TEST(ContinuousTest, StepsReplayBitIdenticallyAcrossThreadCounts) {
   ExpectSameSolution(a->final_solution, b->final_solution);
 }
 
-// Churn-path delta regression: with a matching-free model (so the delta
-// path is genuinely active, not falling back) an entire RunContinuous —
-// initial solve, every repair, every escalation over a busy ChurnTrace —
-// must replay bit-identically with delta scoring on and off: same step
-// fingerprints, counters, incumbents and final solution.
-TEST(ContinuousTest, ChurnStepsBitIdenticalWithDeltaOnAndOff) {
-  auto data_only_model = [] {
-    QualityModel model;
-    model.AddQef(std::make_unique<CardinalityQef>(), 0.4);
-    model.AddQef(std::make_unique<CoverageQef>(), 0.3);
-    model.AddQef(std::make_unique<RedundancyQef>(), 0.2);
-    model.AddQef(std::make_unique<CharacteristicQef>(
-                     "mttf", Aggregation::kWeightedSum),
-                 0.1);
-    return model;
-  };
-  Universe universe = MediumUniverse();
-  ChurnTrace trace = BusyTrace(universe, 11);
-  ASSERT_FALSE(trace.events.empty());
-  const ProblemSpec spec = BasicSpec();
-
-  Engine with(CloneUniverse(universe), data_only_model());
-  Engine without(std::move(universe), data_only_model());
-  ContinuousOptions delta_on = QuickContinuous();
-  delta_on.solver_options.delta_eval = true;
-  ContinuousOptions delta_off = QuickContinuous();
-  delta_off.solver_options.delta_eval = false;
-  Result<ContinuousReport> a = with.RunContinuous(spec, trace, delta_on);
-  Result<ContinuousReport> b = without.RunContinuous(spec, trace, delta_off);
-  ASSERT_TRUE(a.ok()) << a.status();
-  ASSERT_TRUE(b.ok()) << b.status();
-
-  EXPECT_EQ(a->full_solves, b->full_solves);
-  EXPECT_EQ(a->repairs, b->repairs);
-  EXPECT_EQ(a->escalations, b->escalations);
-  EXPECT_EQ(a->last_full_quality, b->last_full_quality);
-  ASSERT_EQ(a->steps.size(), b->steps.size());
-  for (size_t i = 0; i < a->steps.size(); ++i) {
-    const ContinuousStep& sa = a->steps[i];
-    const ContinuousStep& sb = b->steps[i];
-    EXPECT_EQ(sa.evicted, sb.evicted) << "step " << i;
-    EXPECT_EQ(sa.escalated, sb.escalated) << "step " << i;
-    EXPECT_EQ(sa.quality_before, sb.quality_before) << "step " << i;
-    EXPECT_EQ(sa.quality_after, sb.quality_after) << "step " << i;
-    EXPECT_EQ(sa.evaluations, sb.evaluations) << "step " << i;
-    EXPECT_EQ(sa.incumbent, sb.incumbent) << "step " << i;
+// Churn-path oracle: an entire RunContinuous — initial solve, every repair,
+// every escalation over a busy ChurnTrace — on the matching-free and the
+// default model, at one thread and at hardware concurrency, must reproduce
+// the report digest recorded when every candidate was still scored by the
+// full path (tests/data/full_path_digests.json; TESTING.md, "The delta
+// oracle").
+TEST(ContinuousTest, ChurnReplayReproducesRecordedFullPathDigests) {
+  Result<std::map<std::string, uint64_t>> digests =
+      testkit::LoadGoldenDigests(std::string(UBE_TEST_DATA_DIR) +
+                                 "/full_path_digests.json");
+  ASSERT_TRUE(digests.ok()) << digests.status();
+  for (bool matching : {false, true}) {
+    for (int threads : {1, 0}) {
+      Universe universe = MediumUniverse();
+      ChurnTrace trace = BusyTrace(universe, 11);
+      ASSERT_FALSE(trace.events.empty());
+      Engine engine(std::move(universe), matching ? QualityModel::MakeDefault()
+                                                  : DataOnlyModel());
+      Result<ContinuousReport> report =
+          engine.RunContinuous(BasicSpec(), trace, QuickContinuous(threads));
+      ASSERT_TRUE(report.ok()) << report.status();
+      const std::string key = std::string("continuous/") +
+                              (matching ? "default" : "data-only") +
+                              "/threads=" + std::to_string(threads);
+      auto recorded = digests->find(key);
+      ASSERT_NE(recorded, digests->end()) << "no digest for " << key;
+      EXPECT_EQ(ReportDigest(*report), recorded->second) << key;
+    }
   }
-  ExpectSameSolution(a->final_solution, b->final_solution);
 }
 
 // Self-healing: after every batch the incumbent only contains sources that

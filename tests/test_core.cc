@@ -62,6 +62,25 @@ TEST(EngineTest, SolveValidatesSpec) {
   EXPECT_FALSE(engine.Solve(spec).ok());
 }
 
+// Every comparison with NaN is false, so a range check written as
+// `theta < lo || theta > hi` lets NaN through; a non-finite θ must be an
+// InvalidArgument, never a solve that silently runs at some other θ.
+TEST(EngineTest, SolveRejectsNonFiniteTheta) {
+  Engine engine = MakeEngine();
+  for (double theta : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity()}) {
+    ProblemSpec spec;
+    spec.max_sources = 5;
+    spec.theta = theta;
+    Result<Solution> solution =
+        engine.Solve(spec, SolverKind::kTabu, FastSolve());
+    ASSERT_FALSE(solution.ok()) << "θ = " << theta;
+    EXPECT_EQ(solution.status().code(), StatusCode::kInvalidArgument)
+        << "θ = " << theta;
+  }
+}
+
 TEST(EngineTest, InfeasibleConstraintsReported) {
   Engine engine = MakeEngine();
   ProblemSpec spec;
@@ -174,6 +193,19 @@ TEST_F(SessionTest, FailedIterateLeavesHistoryIntact) {
 
   // Undo the damage and the loop keeps going.
   session_.SetMaxSources(6);
+  EXPECT_TRUE(session_.Iterate(SolverKind::kTabu, FastSolve()).ok());
+  EXPECT_EQ(session_.num_iterations(), 2);
+}
+
+TEST_F(SessionTest, IterateRejectsNanTheta) {
+  ASSERT_TRUE(session_.Iterate(SolverKind::kTabu, FastSolve()).ok());
+  session_.SetTheta(std::numeric_limits<double>::quiet_NaN());
+  Result<Solution> failed = session_.Iterate(SolverKind::kTabu, FastSolve());
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(session_.num_iterations(), 1);
+
+  session_.SetTheta(0.75);
   EXPECT_TRUE(session_.Iterate(SolverKind::kTabu, FastSolve()).ok());
   EXPECT_EQ(session_.num_iterations(), 2);
 }

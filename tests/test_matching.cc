@@ -1,3 +1,4 @@
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -306,6 +307,20 @@ TEST(ClusterMatcherErrorTest, ThetaBelowFloorRejected) {
   Result<MatchResult> r = matcher.Match({0, 1}, {}, {}, Opts(0.3));
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ClusterMatcherErrorTest, NonFiniteThetaRejected) {
+  Universe u = MakeUniverse({{"a"}, {"a"}});
+  SimilarityGraph g = SimilarityGraph::WithDefaults(u, 0.25);
+  ClusterMatcher matcher(u, g);
+  for (double theta : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity()}) {
+    Result<MatchResult> r = matcher.Match({0, 1}, {}, {}, Opts(theta));
+    ASSERT_FALSE(r.ok()) << "θ = " << theta;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << "θ = " << theta;
+  }
 }
 
 TEST(ClusterMatcherErrorTest, ConstraintOutsideS) {

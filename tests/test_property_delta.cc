@@ -1,14 +1,20 @@
-// Delta-vs-full differential oracle: the DeltaEvaluator's incremental
-// scoring must be bit-identical to the full evaluation path — per QEF and
-// for the composite Q(S) — after ANY seeded flip sequence, including
+// Delta-vs-full differential oracle: the DeltaEvaluator — the one path
+// every solver scores through — must be bit-identical to the full
+// evaluation path (CandidateEvaluator::Evaluate / QualityBatch), per QEF
+// and for the composite Q(S), after ANY seeded flip sequence, including
 // add-then-remove round-trips and restart resets, across signature kinds
-// (exact and PCSA), degradation policies and uncooperative sources. A
-// second property pins cache/counter parity: an identical candidate stream
-// scored through the delta path and through the full path must leave
+// (exact and PCSA), degradation policies and uncooperative sources. Each
+// property runs on four model shapes: matching-free (every QEF but Match),
+// the paper's default model, a schema-coverage model, and a user LambdaQef
+// that dereferences the context's Match(S) result — with candidates whose
+// Match(S) is invalid on C among them. A second property pins cache/counter
+// parity (an identical candidate stream through both paths leaves
 // num_evaluations / num_cache_hits identical, so eval budgets stop at the
-// same point. Replayable via UBE_PROPERTY_SEED / UBE_PROPERTY_ITERS (see
-// TESTING.md).
+// same point), and a third that scoring on a thread pool is bit-identical
+// to scoring without one. Replayable via UBE_PROPERTY_SEED /
+// UBE_PROPERTY_ITERS (see TESTING.md).
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -24,16 +30,72 @@
 #include "testkit/property.h"
 #include "text/similarity.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace ube {
 namespace {
 
 using testkit::PropertyRunner;
 
+// The model shapes every property runs on.
+enum class ModelKind { kDataOnly, kDefault, kSchemaCoverage, kLambda };
+
+std::string ModelKindName(ModelKind kind) {
+  switch (kind) {
+    case ModelKind::kDataOnly:
+      return "data_only";
+    case ModelKind::kDefault:
+      return "default";
+    case ModelKind::kSchemaCoverage:
+      return "schema_coverage";
+    case ModelKind::kLambda:
+      return "lambda";
+  }
+  return "unknown";
+}
+
+// The lambda model's QEF reads ctx.match unconditionally, so the delta
+// path must hand it a MatchResult whether or not the model runs Match(S)
+// (a valid empty one when it does not, as the full path does).
+double MatchShape(const EvalContext& ctx) {
+  if (!ctx.match->valid) return 0.0;
+  return 1.0 / (1.0 + ctx.match->schema.TotalAttributes() +
+                static_cast<double>(ctx.sources->size()));
+}
+
+QualityModel MakeModel(Rng& rng, ModelKind kind, int case_index) {
+  if (kind == ModelKind::kDataOnly) {
+    return testkit::GenerateModel(rng, /*include_matching=*/false);
+  }
+  if (kind == ModelKind::kDefault) return QualityModel::MakeDefault();
+  std::vector<double> weights = testkit::GenerateWeights(rng, 4);
+  QualityModel model;
+  if (kind == ModelKind::kSchemaCoverage) {
+    model.AddQef(std::make_unique<SchemaCoverageQef>(), weights[0]);
+  } else if (case_index % 2 == 0) {
+    model.AddQef(std::make_unique<LambdaQef>("match-shape", MatchShape),
+                 weights[0]);
+  } else {
+    // Half the lambda cases also match, so the lambda sees real schemas.
+    model.AddQef(std::make_unique<LambdaQef>("match-shape", MatchShape),
+                 weights[0] / 2);
+    model.AddQef(std::make_unique<MatchingQualityQef>(), weights[0] / 2);
+  }
+  model.AddQef(std::make_unique<CardinalityQef>(), weights[1]);
+  model.AddQef(std::make_unique<CoverageQef>(), weights[2]);
+  model.AddQef(std::make_unique<CharacteristicQef>(
+                   "mttf", Aggregation::kWeightedSum),
+               weights[3]);
+  return model;
+}
+
 // One random instance: universe (optionally with degraded statistics and
-// uncooperative sources), matcher scaffolding, a matching-free model under
-// a random degradation policy, and a valid spec. Heap-allocated so the
-// reference web (evaluator → universe/matcher/model/spec) stays stable.
+// uncooperative sources), matcher scaffolding, a model of the given kind
+// under a random degradation policy, and a valid spec. For matching models
+// every third case pins exactly one source constraint and no GA
+// constraint, so the candidate {c} — one source, no GA possible — has an
+// invalid Match(S) on C. Heap-allocated so the reference web (evaluator →
+// universe/matcher/model/spec) stays stable.
 struct Instance {
   Universe universe;
   std::unique_ptr<SimilarityGraph> graph;
@@ -41,11 +103,14 @@ struct Instance {
   QualityModel model;
   ProblemSpec spec;
   std::unique_ptr<CandidateEvaluator> evaluator;
+  /// The single-source candidate with an invalid Match(S), or empty.
+  std::vector<SourceId> invalid_candidate;
 
   explicit Instance(Universe u) : universe(std::move(u)) {}
 };
 
-std::unique_ptr<Instance> MakeInstance(Rng& rng, bool exact_signatures) {
+std::unique_ptr<Instance> MakeInstance(Rng& rng, bool exact_signatures,
+                                       ModelKind kind, int case_index) {
   testkit::UniverseGenOptions gen;
   gen.exact_signatures = exact_signatures;
   gen.uncooperative_probability = 0.15;
@@ -70,7 +135,7 @@ std::unique_ptr<Instance> MakeInstance(Rng& rng, bool exact_signatures) {
       inst->universe, MakeDefaultSimilarity(), 0.25);
   inst->matcher =
       std::make_unique<ClusterMatcher>(inst->universe, *inst->graph);
-  inst->model = testkit::GenerateModel(rng, /*include_matching=*/false);
+  inst->model = MakeModel(rng, kind, case_index);
   DegradationOptions degradation;
   switch (rng.UniformInt(3)) {
     case 0:
@@ -85,10 +150,34 @@ std::unique_ptr<Instance> MakeInstance(Rng& rng, bool exact_signatures) {
   }
   inst->model.set_degradation(degradation);
   inst->spec = testkit::GenerateSpec(rng, inst->universe);
+  if (inst->model.NeedsMatching() && case_index % 3 == 0) {
+    SourceId pinned = static_cast<SourceId>(
+        rng.UniformInt(static_cast<uint64_t>(inst->universe.num_sources())));
+    inst->spec.source_constraints = {pinned};
+    inst->spec.ga_constraints.clear();
+    std::erase(inst->spec.banned_sources, pinned);
+    inst->invalid_candidate = {pinned};
+  }
   inst->evaluator = std::make_unique<CandidateEvaluator>(
       inst->universe, *inst->matcher, inst->model, inst->spec);
   return inst;
 }
+
+// Per-QEF scores, Q(S) and feasibility of the uncached delta probe equal
+// the full path's breakdown bit for bit.
+void ExpectSameBreakdown(const QualityBreakdown& delta,
+                         const QualityBreakdown& full,
+                         const QualityModel& model, const std::string& where) {
+  ASSERT_EQ(delta.scores.size(), full.scores.size()) << where;
+  for (size_t i = 0; i < delta.scores.size(); ++i) {
+    EXPECT_EQ(delta.scores[i], full.scores[i])
+        << where << " QEF " << model.qef(static_cast<int>(i)).name();
+  }
+  EXPECT_EQ(delta.overall, full.overall) << where;
+  EXPECT_EQ(delta.feasible, full.feasible) << where;
+}
+
+class DeltaPropertyTest : public ::testing::TestWithParam<ModelKind> {};
 
 // The inverse of `move` from the post-commit state: re-applying it lands
 // back on the pre-commit candidate.
@@ -117,15 +206,23 @@ SearchState::Move Inverse(const SearchState::Move& move) {
 // every neighbor bit-identically to a from-scratch full evaluation, per
 // QEF and composite. Odd cases use PCSA signatures (the prefix/suffix OR
 // fast path), even cases exact signatures (the generic merge fallback).
-TEST(DeltaPropertyTest, FlipSequencesAreBitIdenticalToFullRecompute) {
-  PropertyRunner runner("delta-flip-bit-identity", 40);
+TEST_P(DeltaPropertyTest, FlipSequencesAreBitIdenticalToFullRecompute) {
+  const ModelKind kind = GetParam();
+  PropertyRunner runner("delta-flip-bit-identity/" + ModelKindName(kind), 40);
   for (int c = 0; c < runner.num_cases(); ++c) {
     SCOPED_TRACE(runner.Replay(c));
     Rng rng = runner.CaseRng(c);
-    std::unique_ptr<Instance> inst = MakeInstance(rng, c % 2 == 0);
-    DeltaEvaluator delta(*inst->evaluator, true);
-    ASSERT_TRUE(delta.active())
-        << "matching-free model must support the delta path";
+    std::unique_ptr<Instance> inst = MakeInstance(rng, c % 2 == 0, kind, c);
+    DeltaEvaluator delta(*inst->evaluator);
+
+    if (!inst->invalid_candidate.empty()) {
+      // Match(S) invalid on C: overall 0 and infeasible on both paths.
+      CandidateEvaluator::Evaluation full =
+          inst->evaluator->Evaluate(inst->invalid_candidate);
+      ASSERT_FALSE(full.breakdown.feasible);
+      ExpectSameBreakdown(delta.Compute(inst->invalid_candidate),
+                          full.breakdown, inst->model, "invalid match");
+    }
 
     SearchState state(
         *inst->evaluator,
@@ -152,13 +249,8 @@ TEST(DeltaPropertyTest, FlipSequencesAreBitIdenticalToFullRecompute) {
       EXPECT_EQ(scored[0], full.quality) << "flip " << f;
 
       // Per-QEF breakdown through the uncached delta probe.
-      QualityBreakdown probe = delta.Compute(neighbors[0]);
-      ASSERT_EQ(probe.scores.size(), full.breakdown.scores.size());
-      for (size_t i = 0; i < probe.scores.size(); ++i) {
-        EXPECT_EQ(probe.scores[i], full.breakdown.scores[i])
-            << "flip " << f << " QEF " << inst->model.qef(static_cast<int>(i)).name();
-      }
-      EXPECT_EQ(probe.overall, full.breakdown.overall) << "flip " << f;
+      ExpectSameBreakdown(delta.Compute(neighbors[0]), full.breakdown,
+                          inst->model, "flip " + std::to_string(f));
 
       if (rng.UniformDouble() < 0.5) {
         // Add-then-remove round trip: commit, score the inverse move from
@@ -183,21 +275,21 @@ TEST(DeltaPropertyTest, FlipSequencesAreBitIdenticalToFullRecompute) {
 
 // Cache and counter parity: the same candidate stream — neighborhoods with
 // intra-batch duplicates, plus arbitrary-candidate batches — scored through
-// an active delta path on one evaluator and through the plain full path on
-// a second, independent evaluator over the same instance must produce
-// identical score vectors AND identical num_evaluations / num_cache_hits
-// at every step. This is what makes max_evaluations budgets stop at the
-// same point with delta on or off.
-TEST(DeltaPropertyTest, CacheAndCounterParityWithFullPath) {
-  PropertyRunner runner("delta-counter-parity", 25);
+// the delta path on one evaluator and through the plain full path
+// (QualityBatch) on a second, independent evaluator over the same instance
+// must produce identical score vectors AND identical num_evaluations /
+// num_cache_hits at every step. This is what keeps max_evaluations budgets
+// stopping exactly where they did when solvers scored through QualityBatch.
+TEST_P(DeltaPropertyTest, CacheAndCounterParityWithFullPath) {
+  const ModelKind kind = GetParam();
+  PropertyRunner runner("delta-counter-parity/" + ModelKindName(kind), 25);
   for (int c = 0; c < runner.num_cases(); ++c) {
     SCOPED_TRACE(runner.Replay(c));
     Rng rng = runner.CaseRng(c);
-    std::unique_ptr<Instance> inst = MakeInstance(rng, c % 2 == 0);
+    std::unique_ptr<Instance> inst = MakeInstance(rng, c % 2 == 0, kind, c);
     CandidateEvaluator full_eval(inst->universe, *inst->matcher, inst->model,
                                  inst->spec);
-    DeltaEvaluator delta(*inst->evaluator, true);
-    ASSERT_TRUE(delta.active());
+    DeltaEvaluator delta(*inst->evaluator);
     inst->evaluator->BeginRun();
     full_eval.BeginRun();
 
@@ -237,11 +329,15 @@ TEST(DeltaPropertyTest, CacheAndCounterParityWithFullPath) {
       state.Commit(moves[static_cast<size_t>(
           rng.UniformInt(static_cast<uint64_t>(moves.size())))]);
 
-      // Arbitrary-candidate batch (the PSO/greedy entry point).
+      // Arbitrary-candidate batch (the PSO/greedy entry point), with the
+      // invalid-match candidate when the instance has one.
       std::vector<std::vector<SourceId>> arbitrary;
       for (int k = 0; k < 4; ++k) {
         arbitrary.push_back(
             testkit::GenerateCandidate(rng, inst->universe, inst->spec));
+      }
+      if (!inst->invalid_candidate.empty()) {
+        arbitrary.push_back(inst->invalid_candidate);
       }
       std::vector<double> arb_delta = delta.ScoreCandidates(arbitrary, nullptr);
       std::vector<double> arb_full = full_eval.QualityBatch(arbitrary);
@@ -255,34 +351,69 @@ TEST(DeltaPropertyTest, CacheAndCounterParityWithFullPath) {
   }
 }
 
-// Whole-model fallback: a model with a matching QEF cannot delta-evaluate,
-// so the wrapper must go inactive and forward verbatim — identical
-// qualities and counters to calling the evaluator directly.
-TEST(DeltaPropertyTest, MatchingModelFallsBackToFullPath) {
-  PropertyRunner runner("delta-matching-fallback", 10);
+INSTANTIATE_TEST_SUITE_P(
+    Models, DeltaPropertyTest,
+    ::testing::Values(ModelKind::kDataOnly, ModelKind::kDefault,
+                      ModelKind::kSchemaCoverage, ModelKind::kLambda),
+    [](const ::testing::TestParamInfo<ModelKind>& info) {
+      return ModelKindName(info.param);
+    });
+
+// Pool axis: on the default model (where misses run Match(S) and so go to
+// the pool) the same neighborhood and arbitrary-candidate stream scored
+// with a 4-thread pool and without one must give bit-identical scores and
+// identical counters — through evaluators over one instance, one of them
+// scoring in parallel.
+TEST(DeltaPoolTest, PoolScoringIsBitIdenticalToSequential) {
+  PropertyRunner runner("delta-pool-identity", 15);
+  ThreadPool pool(4);
   for (int c = 0; c < runner.num_cases(); ++c) {
     SCOPED_TRACE(runner.Replay(c));
     Rng rng = runner.CaseRng(c);
-    testkit::UniverseGenOptions gen;
-    auto inst = std::make_unique<Instance>(testkit::GenerateUniverse(rng, gen));
-    inst->graph = std::make_unique<SimilarityGraph>(
-        inst->universe, MakeDefaultSimilarity(), 0.25);
-    inst->matcher =
-        std::make_unique<ClusterMatcher>(inst->universe, *inst->graph);
-    inst->model = testkit::GenerateModel(rng, /*include_matching=*/true);
-    inst->spec = testkit::GenerateSpec(rng, inst->universe);
-    inst->evaluator = std::make_unique<CandidateEvaluator>(
-        inst->universe, *inst->matcher, inst->model, inst->spec);
+    std::unique_ptr<Instance> inst =
+        MakeInstance(rng, c % 2 == 0, ModelKind::kDefault, c);
+    CandidateEvaluator parallel_eval(inst->universe, *inst->matcher,
+                                     inst->model, inst->spec);
+    DeltaEvaluator sequential(*inst->evaluator);
+    DeltaEvaluator parallel(parallel_eval);
 
-    DeltaEvaluator delta(*inst->evaluator, true);
-    EXPECT_FALSE(delta.active());
-    std::vector<SourceId> candidate =
-        testkit::GenerateCandidate(rng, inst->universe, inst->spec);
-    EXPECT_EQ(delta.Quality(candidate), inst->evaluator->Quality(candidate));
+    SearchState state(
+        *inst->evaluator,
+        testkit::GenerateCandidate(rng, inst->universe, inst->spec));
+    for (int round = 0; round < 8; ++round) {
+      std::vector<SearchState::Move> moves;
+      std::vector<std::vector<SourceId>> neighbors;
+      for (int k = 0; k < 8; ++k) {
+        SearchState::Move move;
+        if (!state.RandomMove(rng, &move)) break;
+        moves.push_back(move);
+        neighbors.push_back(state.Apply(move));
+      }
+      if (neighbors.empty()) break;
+      EXPECT_EQ(
+          sequential.ScoreNeighborhood(state.sources(), moves, neighbors,
+                                       nullptr),
+          parallel.ScoreNeighborhood(state.sources(), moves, neighbors, &pool))
+          << "round " << round;
 
-    // The explicit off switch also forces forwarding mode.
-    DeltaEvaluator disabled(*inst->evaluator, false);
-    EXPECT_FALSE(disabled.active());
+      std::vector<std::vector<SourceId>> arbitrary;
+      for (int k = 0; k < 6; ++k) {
+        arbitrary.push_back(
+            testkit::GenerateCandidate(rng, inst->universe, inst->spec));
+      }
+      if (!inst->invalid_candidate.empty()) {
+        arbitrary.push_back(inst->invalid_candidate);
+      }
+      EXPECT_EQ(sequential.ScoreCandidates(arbitrary, nullptr),
+                parallel.ScoreCandidates(arbitrary, &pool))
+          << "round " << round;
+      EXPECT_EQ(inst->evaluator->num_evaluations(),
+                parallel_eval.num_evaluations());
+      EXPECT_EQ(inst->evaluator->num_cache_hits(),
+                parallel_eval.num_cache_hits());
+      state.Commit(moves[static_cast<size_t>(
+          rng.UniformInt(static_cast<uint64_t>(moves.size())))]);
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 // descriptor (monotonic? randomized? exact? anytime? budget? epsilon?) and
 // this suite checks each implementation against its own descriptor on the
 // pinned golden small universe.
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -53,10 +54,9 @@ Engine MakeGoldenEngine() {
                 QualityModel::MakeDefault());
 }
 
-// Matching-free model over the same golden universe: every QEF provides a
-// delta scorer, so solvers actually take the incremental path instead of
-// falling back (MakeDefault contains a matching QEF, which forces the full
-// path — still a valid delta-vs-full case, just a trivial one).
+// Matching-free model over the same golden universe: evaluation never runs
+// Match(S), so its cost is the incremental context alone (MakeDefault adds
+// the matching QEF, whose Match(S) dominates every evaluation).
 QualityModel DataOnlyModel() {
   QualityModel model;
   model.AddQef(std::make_unique<CardinalityQef>(), 0.4);
@@ -214,14 +214,19 @@ TEST_P(SolverFixtureTest, TimeLimitStopsDeterministicallyUnderManualClock) {
   EXPECT_TRUE(SolutionsBitIdentical(*first, *second));
 }
 
-// Delta-vs-full differential axis: for every solver and for both the
-// sequential and the hardware-concurrency thread count, the incremental
-// delta path must return a Solution byte-identical to the full path — sources, quality bits, counters and trace. Run on the
-// matching-free model (where delta is genuinely active) and on the default
-// matching model (where it must silently fall back).
-TEST_P(SolverFixtureTest, DeltaMatchesFullPathBitIdentically) {
+// Full-path digest axis: for every solver, on the matching-free and the
+// default model, at one thread and at hardware concurrency, the one
+// evaluation path must reproduce the Solution digest (sources, quality
+// bits, counters and trace) recorded when every candidate was still scored
+// by the full path (tests/data/full_path_digests.json; TESTING.md, "The
+// delta oracle").
+TEST_P(SolverFixtureTest, ReproducesRecordedFullPathDigests) {
   const SolverKind kind = GetParam();
   const testkit::GoldenSmallUniverse& golden = Golden();
+  Result<std::map<std::string, uint64_t>> digests =
+      testkit::LoadGoldenDigests(std::string(UBE_TEST_DATA_DIR) +
+                                 "/full_path_digests.json");
+  ASSERT_TRUE(digests.ok()) << digests.status();
   for (bool matching : {false, true}) {
     Engine engine = matching ? MakeGoldenEngine()
                              : MakeGoldenEngine(DataOnlyModel());
@@ -229,15 +234,14 @@ TEST_P(SolverFixtureTest, DeltaMatchesFullPathBitIdentically) {
       SolverOptions options = FixtureOptions();
       options.record_trace = true;
       options.num_threads = threads;
-      options.delta_eval = false;
-      Result<Solution> full = engine.Solve(golden.spec, kind, options);
-      ASSERT_TRUE(full.ok()) << full.status();
-      options.delta_eval = true;
-      Result<Solution> delta = engine.Solve(golden.spec, kind, options);
-      ASSERT_TRUE(delta.ok()) << delta.status();
-      EXPECT_TRUE(SolutionsBitIdentical(*full, *delta))
-          << "delta/full divergence (matching=" << matching
-          << ", threads=" << threads << ")";
+      Result<Solution> solution = engine.Solve(golden.spec, kind, options);
+      ASSERT_TRUE(solution.ok()) << solution.status();
+      const std::string key = "fixture/" + std::string(SolverKindName(kind)) +
+                              (matching ? "/default" : "/data-only") +
+                              "/threads=" + std::to_string(threads);
+      auto recorded = digests->find(key);
+      ASSERT_NE(recorded, digests->end()) << "no digest for " << key;
+      EXPECT_EQ(testkit::SolutionDigest(*solution), recorded->second) << key;
     }
   }
 }
