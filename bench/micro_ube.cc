@@ -106,20 +106,31 @@ void BM_SimilarityGraphBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_SimilarityGraphBuild)->Unit(benchmark::kMillisecond);
 
-void BM_Match20Sources(benchmark::State& state) {
+// Match(S) over k sources spread evenly across the 200-source workload.
+void RunMatch(benchmark::State& state, int k) {
   auto& workload = SharedWorkload();
   static auto* graph = new ube::SimilarityGraph(
       ube::SimilarityGraph::WithDefaults(workload.universe, 0.25));
   ube::ClusterMatcher matcher(workload.universe, *graph);
   std::vector<ube::SourceId> sources;
-  for (ube::SourceId s = 0; s < 200; s += 10) sources.push_back(s);
+  for (ube::SourceId s = 0; s < 200; s += 200 / k) sources.push_back(s);
   ube::MatchOptions options;
   for (auto _ : state) {
     auto result = matcher.Match(sources, {}, {}, options);
     benchmark::DoNotOptimize(result.ok());
   }
 }
+
+void BM_Match20Sources(benchmark::State& state) { RunMatch(state, 20); }
 BENCHMARK(BM_Match20Sources)->Unit(benchmark::kMicrosecond);
+
+// The match_us curve over |S| (k = 20 is BM_Match20Sources' set), reported
+// in BENCH_micro_ube.json as match_us_s<k>.
+void BM_Match(benchmark::State& state) {
+  RunMatch(state, static_cast<int>(state.range(0)));
+}
+BENCHMARK(BM_Match)->Arg(5)->Arg(10)->Arg(20)->Arg(40)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_CandidateEvaluation(benchmark::State& state) {
   auto& workload = SharedWorkload();
@@ -238,7 +249,8 @@ void RunFlipSweep(ube::bench::BenchHarness& bench) {
 }
 
 // Console output as usual, plus every benchmark's per-iteration real time
-// harvested into the harness as `<name>_ns` for BENCH_micro_ube.json.
+// harvested into the harness as `<name>_ns` for BENCH_micro_ube.json, and
+// BM_Match/<k> additionally as `match_us_s<k>`.
 class MetricReporter : public benchmark::ConsoleReporter {
  public:
   explicit MetricReporter(ube::bench::BenchHarness* bench)
@@ -254,6 +266,11 @@ class MetricReporter : public benchmark::ConsoleReporter {
       const double ns_per_iter = run.real_accumulated_time /
                                  static_cast<double>(run.iterations) * 1e9;
       bench_->SetMetric(key + "_ns", ns_per_iter);
+      const std::string match_prefix = "BM_Match_";
+      if (key.starts_with(match_prefix)) {
+        bench_->SetMetric("match_us_s" + key.substr(match_prefix.size()),
+                          ns_per_iter / 1e3);
+      }
     }
     ConsoleReporter::ReportRuns(reports);
   }

@@ -229,6 +229,13 @@ class Engine {
   /// Unavailable when a constraint requires a dropped source. Returns
   /// `spec` untouched when nothing was dropped.
   Result<ProblemSpec> EffectiveSpec(const ProblemSpec& spec) const;
+  /// EffectiveSpec plus every check a CandidateEvaluator relies on:
+  /// ValidateSpec, ValidateOverlay, and θ at or above the similarity-graph
+  /// floor (below it Match(S) fails, and the evaluator treats a failed
+  /// match as a bug). Solve, EvaluateCandidate and RepairSeed resolve their
+  /// spec here; RunContinuous's batch specs differ from its first Solve's
+  /// only in bans.
+  Result<ProblemSpec> EvaluatorSpec(const ProblemSpec& spec) const;
 
   QualityModel model_;
   obs::ObsContext* obs_ = nullptr;

@@ -37,8 +37,9 @@ class SimilarityGraph {
                   std::unique_ptr<AttributeSimilarity> similarity,
                   double floor);
 
-  /// Convenience: paper defaults (3-gram Jaccard, floor 0.0 keeps every
-  /// nonzero edge).
+  /// Convenience: paper defaults (3-gram Jaccard). The default floor 0.25
+  /// drops the long tail of weak edges while staying below any practical
+  /// θ; pass 0.0 to keep every nonzero edge.
   static SimilarityGraph WithDefaults(const Universe& universe,
                                       double floor = 0.25);
 

@@ -81,6 +81,47 @@ TEST(EngineTest, SolveRejectsNonFiniteTheta) {
   }
 }
 
+// A θ inside [0, 1] but below the similarity-graph floor passes
+// ValidateSpec; Match(S) rejects it, and an evaluator built on it would
+// abort on the first candidate. Every entry point that builds an evaluator
+// must answer InvalidArgument instead.
+TEST(EngineTest, EvaluateCandidateRejectsThetaBelowFloor) {
+  Engine engine = MakeEngine();
+  ProblemSpec spec;
+  spec.max_sources = 5;
+  spec.theta = 0.1;  // below the default similarity floor 0.25
+  Result<CandidateEvaluator::Evaluation> eval =
+      engine.EvaluateCandidate(spec, {0, 1, 2});
+  ASSERT_FALSE(eval.ok());
+  EXPECT_EQ(eval.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(EngineTest, RepairSeedRejectsThetaBelowFloor) {
+  Engine engine = MakeEngine();
+  ProblemSpec spec;
+  spec.max_sources = 5;
+  spec.theta = 0.1;
+  Result<std::vector<SourceId>> seed =
+      engine.RepairSeed(spec, {0, 1, 2}, RepairOptions{});
+  ASSERT_FALSE(seed.ok());
+  EXPECT_EQ(seed.status().code(), StatusCode::kInvalidArgument);
+}
+
+// The paper's θ gesture on a warm-start session: the repair of the last
+// incumbent runs first, and its error is left for Solve to report.
+TEST(EngineTest, WarmSessionThetaBelowFloorIsAnError) {
+  Engine engine = MakeEngine();
+  Session session(&engine);
+  session.set_warm_start(true);
+  session.SetMaxSources(5);
+  ASSERT_TRUE(session.Iterate(SolverKind::kTabu, FastSolve()).ok());
+  session.SetTheta(0.1);
+  Result<Solution> solution = session.Iterate(SolverKind::kTabu, FastSolve());
+  ASSERT_FALSE(solution.ok());
+  EXPECT_EQ(solution.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(session.num_iterations(), 1);
+}
+
 TEST(EngineTest, InfeasibleConstraintsReported) {
   Engine engine = MakeEngine();
   ProblemSpec spec;

@@ -230,6 +230,25 @@ TEST(ClusterMatcherTest, SingleAttributeUserGaScoresOne) {
   EXPECT_DOUBLE_EQ(r->ga_qualities[0], 1.0);
 }
 
+// Once a single-attribute user GA merges, its conventional quality 1.0
+// gives way to the real similarity of the merge.
+TEST(ClusterMatcherTest, SingleAttributeUserGaTakesMergeQuality) {
+  Universe u = MakeUniverse({{"publication year"}, {"publication years"}});
+  SimilarityGraph g = SimilarityGraph::WithDefaults(u, 0.25);
+  ClusterMatcher matcher(u, g);
+  ASSERT_EQ(g.EdgesOf(0).size(), 1u);
+  const double sim = g.EdgesOf(0)[0].similarity;
+  ASSERT_GE(sim, 0.75);
+  ASSERT_LT(sim, 1.0);
+  GlobalAttribute single({AttributeId{0, 0}});
+  Result<MatchResult> r = matcher.Match({0, 1}, {}, {single}, Opts(0.75));
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r->schema.num_gas(), 1);
+  EXPECT_EQ(r->schema.ga(0).size(), 2);
+  EXPECT_TRUE(r->ga_from_constraint[0]);
+  EXPECT_EQ(r->ga_qualities[0], sim);
+}
+
 TEST(ClusterMatcherTest, SourceConstraintUnsatisfiedReturnsInvalid) {
   // Source 2's attribute matches nothing: no GA touches it, so M is not
   // valid on C = {2} and Match reports quality 0 (Algorithm 1's NULL).
